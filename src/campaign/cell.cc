@@ -1,6 +1,9 @@
 #include "cell.hh"
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 
 #include "campaign/verify.hh"
 #include "common/logging.hh"
@@ -49,6 +52,15 @@ policyFlagName(OrderingPolicy p)
 }
 
 namespace {
+
+/** Append @p v in decimal. */
+void
+appendUint(std::string &out, std::uint64_t v)
+{
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, res.ptr);
+}
 
 /** Keys are embedded in JSONL unescaped: keep them to a safe charset. */
 std::string
@@ -103,11 +115,13 @@ Cell::key() const
             k += "|ABUG";
         return k;
     }
-    std::string k = programId() +
-                    strprintf("|n%llu|h%llu|j%llu",
-                              static_cast<unsigned long long>(net_seed),
-                              static_cast<unsigned long long>(hop),
-                              static_cast<unsigned long long>(jitter));
+    std::string k = programId();
+    k += "|n";
+    appendUint(k, net_seed);
+    k += "|h";
+    appendUint(k, hop);
+    k += "|j";
+    appendUint(k, jitter);
     if (inject_reserve_bug)
         k += "|BUG";
     return k;
@@ -195,6 +209,23 @@ MaterializeCache::put(std::string family_id, MaterializedCell m)
         .first->second;
 }
 
+System &
+MaterializeCache::machine(const Program &prog, const SystemCfg &cfg)
+{
+    if (machine_)
+        machine_->reset(prog, cfg);
+    else
+        machine_ = std::make_unique<System>(prog, cfg);
+    return *machine_;
+}
+
+void
+MaterializeCache::release(const SystemResult &r)
+{
+    if (r.livelocked)
+        machine_.reset();
+}
+
 MaterializedCell
 materializeCell(const Cell &cell, MaterializeCache *cache)
 {
@@ -243,25 +274,36 @@ materializeCell(const Cell &cell, MaterializeCache *cache)
     return m;
 }
 
+namespace {
+
+/** The verdict of a result that blames no hardware. */
+const char *
+softVerdict(const CellResult &r)
+{
+    if (!r.completed && r.primary_kind == "materialize_error")
+        return "error";
+    if (r.inconclusive)
+        return "inconclusive";
+    if (r.nonsc)
+        return "nonsc";
+    if (r.deadlocked)
+        return "deadlock";
+    if (r.livelocked)
+        return "livelock";
+    if (r.races > 0)
+        return "race";
+    return "clean";
+}
+
+} // namespace
+
 std::string
 CellResult::verdict() const
 {
     if (hw > 0)
         return "hw:" + (primary_kind.empty() ? std::string("?")
                                              : primary_kind);
-    if (!completed && primary_kind == "materialize_error")
-        return "error";
-    if (inconclusive)
-        return "inconclusive";
-    if (nonsc)
-        return "nonsc";
-    if (deadlocked)
-        return "deadlock";
-    if (livelocked)
-        return "livelock";
-    if (races > 0)
-        return "race";
-    return "clean";
+    return softVerdict(*this);
 }
 
 Json
@@ -294,13 +336,75 @@ cellResultToJson(const CellResult &r)
     return j;
 }
 
+void
+appendCellResultJson(std::string &out, const CellResult &r)
+{
+    // Mirrors cellResultToJson member for member, in the same order and
+    // with Json::dump's number and string spellings.
+    auto str = [&](const char *member, std::string_view v) {
+        out += member;
+        out += '"';
+        jsonEscape(out, v);
+        out += '"';
+    };
+    auto num = [&](const char *member, std::uint64_t v) {
+        out += member;
+        appendUint(out, v);
+    };
+    str("{\"key\":", r.key);
+    if (r.hw > 0) {
+        out += ",\"verdict\":\"hw:";
+        jsonEscape(out, r.primary_kind.empty() ? std::string_view("?")
+                                               : r.primary_kind);
+        out += '"';
+    } else {
+        str(",\"verdict\":", softVerdict(r));
+    }
+    num(",\"hw\":", r.hw);
+    num(",\"races\":", r.races);
+    str(",\"sig\":", r.outcome_sig);
+    num(",\"tick\":", r.finish_tick);
+    out += ",\"ms\":";
+    if (std::isfinite(r.wall_ms)) {
+        char buf[32];
+        const int n = std::snprintf(buf, sizeof buf, "%.17g", r.wall_ms);
+        out.append(buf, static_cast<std::size_t>(n));
+    } else {
+        out += "null";
+    }
+    num(",\"mat_us\":", r.mat_us);
+    num(",\"run_us\":", r.run_us);
+    if (r.shrink_us > 0)
+        num(",\"shrink_us\":", r.shrink_us);
+    if (!r.primary_kind.empty())
+        str(",\"kind\":", r.primary_kind);
+    if (r.inconclusive)
+        out += ",\"inconclusive\":true";
+    if (r.nonsc)
+        out += ",\"nonsc\":true";
+    if (r.dpor_states > 0 || r.bfs_states > 0) {
+        num(",\"dpor_states\":", r.dpor_states);
+        num(",\"bfs_states\":", r.bfs_states);
+        num(",\"dpor_probes\":", r.dpor_probes);
+        num(",\"dpor_memo_hits\":", r.dpor_memo_hits);
+    }
+    out += '}';
+}
+
 CellRun
 runCell(const Cell &cell, std::uint64_t max_events, EventQueueKind queue,
         MaterializeCache *cache)
 {
+    return runCell(cell, cell.key(), max_events, queue, cache);
+}
+
+CellRun
+runCell(const Cell &cell, std::string key, std::uint64_t max_events,
+        EventQueueKind queue, MaterializeCache *cache)
+{
     CellRun run;
     CellResult &r = run.result;
-    r.key = cell.key();
+    r.key = std::move(key);
 
     // Timeline spans accrue to whatever lane the calling thread owns
     // (a campaign worker's, or none when run standalone).
@@ -365,7 +469,11 @@ runCell(const Cell &cell, std::uint64_t max_events, EventQueueKind queue,
 
     Timeline::Scope run_span(tl, SpanKind::run);
     const auto t0 = std::chrono::steady_clock::now();
-    System sys(*run.program, cell.systemCfg(max_events, queue));
+    // A worker runs on its reused machine; a standalone call builds one.
+    const SystemCfg scfg = cell.systemCfg(max_events, queue);
+    std::optional<System> own;
+    System &sys = cache ? cache->machine(*run.program, scfg)
+                        : own.emplace(*run.program, scfg);
     for (const auto &w : run.warm)
         sys.warmShared(w.addr, w.procs);
     SystemResult sr = sys.run();
@@ -393,6 +501,8 @@ runCell(const Cell &cell, std::uint64_t max_events, EventQueueKind queue,
             r.primary_kind = violationKindName(v.kind);
             break;
         }
+    if (cache)
+        cache->release(sr);
     return run;
 }
 

@@ -19,6 +19,7 @@
 #ifndef WO_CAMPAIGN_CELL_HH
 #define WO_CAMPAIGN_CELL_HH
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -127,13 +128,21 @@ struct MaterializedCell
 };
 
 /**
- * A per-worker cache of materialized programs.  `file:` and `litmus:`
- * cells rebuild the *same* program for every timing seed and policy
- * the campaign crosses them with; re-assembling the `.wo` source or
- * re-running the litmus factory thousands of times per campaign is
- * pure waste.  The cache keys on the cell's familyId() and hands out
- * copies of the parsed Program.  Random-source cells bypass it (every
- * draw embeds its own generator seed, so no two repeat).
+ * A campaign worker's private state: a cache of materialized programs
+ * and the worker's timed machine.
+ *
+ * `file:` and `litmus:` cells rebuild the *same* program for every
+ * timing seed and policy the campaign crosses them with; re-assembling
+ * the `.wo` source or re-running the litmus factory thousands of times
+ * per campaign is pure waste.  The cache keys on the cell's familyId()
+ * and hands out copies of the parsed Program.  Random-source cells
+ * bypass it (every draw embeds its own generator seed, so no two
+ * repeat).
+ *
+ * The machine is one System reused across the worker's cells (and its
+ * shrink runs) through System::reset(), which restores the exact
+ * freshly-built state, so no result depends on the cell that ran
+ * before.
  *
  * Not thread-safe by design: each worker owns one, so lookups never
  * synchronize.
@@ -152,12 +161,28 @@ class MaterializeCache
     std::uint64_t misses() const { return misses_; }
     std::size_t size() const { return map_.size(); }
 
+    /**
+     * The worker's machine, reset to what System(prog, cfg) builds
+     * (constructed on first use).  @p prog must outlive the run.
+     */
+    System &machine(const Program &prog, const SystemCfg &cfg);
+
+    /**
+     * Hand the machine back after a run that produced @p r.  A run
+     * that exhausted its event budget (livelock) grew the machine's
+     * traces and queues to that budget; such a machine is dropped
+     * rather than kept, so one outlier cell does not pin its peak
+     * memory for the rest of the campaign.
+     */
+    void release(const SystemResult &r);
+
   private:
     friend MaterializedCell materializeCell(const Cell &,
                                             MaterializeCache *);
     std::unordered_map<std::string, MaterializedCell> map_;
     mutable std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
+    std::unique_ptr<System> machine_;
 };
 
 /**
@@ -230,6 +255,13 @@ struct CellResult
 Json cellResultToJson(const CellResult &r);
 
 /**
+ * Append cellResultToJson(r).dump() to @p out, formatted directly:
+ * byte-for-byte the same text without building the Json tree, so the
+ * journal's per-cell line costs no allocation beyond @p out's growth.
+ */
+void appendCellResultJson(std::string &out, const CellResult &r);
+
+/**
  * Run one cell to a verdict: materialize, then either simulate under
  * the online monitor (run cells) or judge with the dual-engine
  * verifier (verify cells), and reduce.  Materialization errors surface
@@ -247,6 +279,14 @@ struct CellRun
 CellRun runCell(const Cell &cell, std::uint64_t max_events,
                 EventQueueKind queue = EventQueueKind::calendar,
                 MaterializeCache *cache = nullptr);
+
+/**
+ * runCell for a caller that already holds the cell's @p key (a
+ * campaign worker checks it against the journal first), so the key is
+ * formatted once per cell.  @p key must equal cell.key().
+ */
+CellRun runCell(const Cell &cell, std::string key, std::uint64_t max_events,
+                EventQueueKind queue, MaterializeCache *cache);
 
 /** 64-bit FNV-1a over @p text, rendered as 16 hex digits. */
 std::string fnv1aHex(const std::string &text);

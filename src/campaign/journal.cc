@@ -383,9 +383,16 @@ Journal::appendLine(const Json &j)
     // whichever lane the calling thread owns.
     Timeline::Scope push_span(Timeline::current(),
                               SpanKind::journal_push);
+    std::string text = j.dump();
+    text += '\n';
+    pushText(text);
+}
+
+void
+Journal::pushText(std::string_view text)
+{
     Line *n = new Line;
-    n->text = j.dump();
-    n->text += '\n';
+    n->text.assign(text);
     push(n);
 }
 
@@ -443,9 +450,17 @@ Journal::appendCell(const CellResult &r)
     if (resume_done_.count(r.key) == 0)
         seen_.insert(fnv1a64(r.key));
 
-    Json j = cellResultToJson(r);
-    j.set("type", Json("cell"));
-    appendLine(j);
+    if (!writer_.joinable())
+        return;
+    Timeline::Scope push_span(Timeline::current(),
+                              SpanKind::journal_push);
+    // The line is cellResultToJson(r) with "type" appended last.
+    thread_local std::string line;
+    line.clear();
+    appendCellResultJson(line, r);
+    line.pop_back();
+    line += ",\"type\":\"cell\"}\n";
+    pushText(line);
 }
 
 bool

@@ -215,11 +215,19 @@ class Journal
      */
     bool done(const std::string &key) const;
 
+    /** Was @p key replayed by load() (a cell a resumed run skips)? */
+    bool resumed(const std::string &key) const
+    {
+        return resume_done_.count(key) > 0;
+    }
+
     /** Number of journaled cells (including replayed ones). */
     std::size_t doneCells() const;
 
     /** Append one finished cell (marks its key done immediately;
-     *  the line itself is durable at the next batch commit). */
+     *  the line itself is durable at the next batch commit).  The line
+     *  is formatted straight into a per-thread buffer, with no Json
+     *  tree: cellResultToJson(r) plus "type":"cell", byte for byte. */
     void appendCell(const CellResult &r);
 
     /**
@@ -252,6 +260,8 @@ class Journal
     };
 
     void appendLine(const Json &j);
+    /** Queue @p text (one whole line, newline included). */
+    void pushText(std::string_view text);
     void push(Line *n);
     Line *takeAllFifo();
     void writerLoop();

@@ -104,7 +104,8 @@ struct alignas(64) WorkerStats
     // Live counters the progress reporter may read mid-run.
     std::atomic<std::uint64_t> completed{0};
     std::atomic<std::uint64_t> ran{0};
-    std::atomic<std::uint64_t> skipped{0};
+    std::atomic<std::uint64_t> skipped{0};   //!< journaled before a resume
+    std::atomic<std::uint64_t> duplicate{0}; //!< key already run this run
     std::atomic<std::uint64_t> hw{0};
     // Verify-cell explorer totals (zero for run campaigns), live so
     // /metrics can report the memoization rate mid-campaign.
@@ -267,7 +268,8 @@ struct Engine
                cfg.time_budget_s;
     }
 
-    void handleFailure(int w, const Cell &cell, CellRun &run);
+    void handleFailure(int w, const Cell &cell, CellRun &run,
+                       MaterializeCache &worker_state);
     void worker(int w);
 
     // --- Live control plane (every reader below touches only
@@ -344,6 +346,7 @@ Engine::metricsJson() const
             Json(sumLive(&WorkerStats::completed)));
     reg.set("cells.ran", Json(sumLive(&WorkerStats::ran)));
     reg.set("cells.skipped", Json(sumLive(&WorkerStats::skipped)));
+    reg.set("cells.duplicate", Json(sumLive(&WorkerStats::duplicate)));
     reg.set("cells.hw_failed", Json(sumLive(&WorkerStats::hw)));
     reg.set("failures.unique",
             Json(unique_failures.load(std::memory_order_relaxed)));
@@ -365,6 +368,8 @@ Engine::metricsJson() const
                 Json(ws.ran.load(std::memory_order_relaxed)));
         reg.set(base + ".skipped",
                 Json(ws.skipped.load(std::memory_order_relaxed)));
+        reg.set(base + ".duplicate",
+                Json(ws.duplicate.load(std::memory_order_relaxed)));
     }
     // Per-lane span decomposition (workers + the journal writer):
     // where each thread's wall clock is going, right now.
@@ -408,6 +413,7 @@ Engine::progressJson() const
     cells.set("completed", Json(sumLive(&WorkerStats::completed)));
     cells.set("ran", Json(sumLive(&WorkerStats::ran)));
     cells.set("skipped", Json(sumLive(&WorkerStats::skipped)));
+    cells.set("duplicate", Json(sumLive(&WorkerStats::duplicate)));
     cells.set("hw_failed", Json(sumLive(&WorkerStats::hw)));
     p.set("cells", std::move(cells));
     p.set("unique_failures",
@@ -437,6 +443,8 @@ Engine::progressJson() const
         wj.set("ran", Json(ws.ran.load(std::memory_order_relaxed)));
         wj.set("skipped",
                Json(ws.skipped.load(std::memory_order_relaxed)));
+        wj.set("duplicate",
+               Json(ws.duplicate.load(std::memory_order_relaxed)));
         const std::uint64_t el = lanes[w].liveElapsedNs();
         const std::uint64_t id = lanes[w].liveNs(SpanKind::idle);
         wj.set("idle_pct",
@@ -498,7 +506,8 @@ Engine::mountControlPlane(HttpServer &srv)
 }
 
 void
-Engine::handleFailure(int w, const Cell &cell, CellRun &run)
+Engine::handleFailure(int w, const Cell &cell, CellRun &run,
+                      MaterializeCache &worker_state)
 {
     ViolationKind kind;
     if (!violationKindFromName(run.result.primary_kind, kind))
@@ -524,7 +533,7 @@ Engine::handleFailure(int w, const Cell &cell, CellRun &run)
             : shrinkCounterexample(
                   *run.program, run.warm,
                   cell.systemCfg(cfg.max_events, queueKind()), kind,
-                  scfg);
+                  scfg, &worker_state);
 
     const std::string hash = fnv1aHex(s.wo_text).substr(0, 12);
     const std::string dedup = run.result.primary_kind + ":" + hash;
@@ -591,7 +600,8 @@ Engine::worker(int w)
     Timeline::setCurrent(&tl);
     tl.markStart();
     Profiler::ThreadGuard prof_guard(tl.lane());
-    MaterializeCache cache; // worker-owned: lookups never synchronize
+    // Worker-owned program cache and machine: never synchronized.
+    MaterializeCache cache;
     Rng rng(cfg.seed * 7919 + static_cast<std::uint64_t>(w) + 1);
     while (!timeUp()) {
         // idle covers everything between finishing one cell and
@@ -615,13 +625,18 @@ Engine::worker(int w)
             cell = fuzzer.baseCell(
                 base_index.fetch_add(1, std::memory_order_relaxed));
 
-        if (journal.done(cell.key())) {
-            ws.skipped.fetch_add(1, std::memory_order_relaxed);
+        std::string key = cell.key();
+        if (journal.done(key)) {
+            // A resumed journal's cell, or a key the base stream or a
+            // mutant already produced in this run.
+            (journal.resumed(key) ? ws.skipped : ws.duplicate)
+                .fetch_add(1, std::memory_order_relaxed);
             ws.completed.fetch_add(1, std::memory_order_relaxed);
             continue;
         }
         idle_span.close();
-        CellRun run = runCell(cell, cfg.max_events, queueKind(), &cache);
+        CellRun run = runCell(cell, std::move(key), cfg.max_events,
+                              queueKind(), &cache);
         ws.classify(run.result);
         ws.lat_ms.push_back(run.result.wall_ms);
         ws.recordLatency(run.result.wall_ms);
@@ -634,7 +649,7 @@ Engine::worker(int w)
         if (run.result.hardwareFailure() && run.program) {
             Timeline::Scope shrink_span(&tl, SpanKind::shrink);
             const auto s0 = Clock::now();
-            handleFailure(w, cell, run);
+            handleFailure(w, cell, run, cache);
             run.result.shrink_us = static_cast<std::uint64_t>(
                 std::chrono::duration<double, std::micro>(Clock::now() -
                                                           s0)
@@ -765,13 +780,16 @@ runCampaign(const CampaignCfg &user_cfg)
                 std::fprintf(
                     stderr,
                     "\r[campaign] %llu/%llu cells  %llu run  %llu "
-                    "resumed  %llu hw-fail (%llu unique)  %.1f cells/s%s ",
+                    "resumed  %llu dup  %llu hw-fail (%llu unique)  "
+                    "%.1f cells/s%s ",
                     static_cast<unsigned long long>(c),
                     static_cast<unsigned long long>(eng.cfg.cells),
                     static_cast<unsigned long long>(
                         eng.sumLive(&WorkerStats::ran)),
                     static_cast<unsigned long long>(
                         eng.sumLive(&WorkerStats::skipped)),
+                    static_cast<unsigned long long>(
+                        eng.sumLive(&WorkerStats::duplicate)),
                     static_cast<unsigned long long>(
                         eng.sumLive(&WorkerStats::hw)),
                     static_cast<unsigned long long>(
@@ -801,6 +819,7 @@ runCampaign(const CampaignCfg &user_cfg)
         WorkerStats &ws = eng.wstats[w];
         sum.ran += ws.ran.load(std::memory_order_relaxed);
         sum.skipped += ws.skipped.load(std::memory_order_relaxed);
+        sum.duplicate += ws.duplicate.load(std::memory_order_relaxed);
         sum.hw += ws.hw.load(std::memory_order_relaxed);
         sum.clean += ws.clean;
         sum.racy += ws.racy;
@@ -893,12 +912,13 @@ CampaignSummary::table() const
 {
     std::string out;
     out += strprintf(
-        "campaign: %llu cells (%llu run, %llu resumed), %.2f s, "
-        "%.1f cells/s (cell p50 %.3f ms, p99 %.3f ms), "
+        "campaign: %llu cells (%llu run, %llu resumed, %llu duplicate), "
+        "%.2f s, %.1f cells/s (cell p50 %.3f ms, p99 %.3f ms), "
         "%llu frontier discoveries\n",
-        static_cast<unsigned long long>(ran + skipped),
+        static_cast<unsigned long long>(ran + skipped + duplicate),
         static_cast<unsigned long long>(ran),
-        static_cast<unsigned long long>(skipped), wall_s,
+        static_cast<unsigned long long>(skipped),
+        static_cast<unsigned long long>(duplicate), wall_s,
         cells_per_sec, lat_p50_ms, lat_p99_ms,
         static_cast<unsigned long long>(novelty));
     out += strprintf(
@@ -974,6 +994,7 @@ CampaignSummary::toJson() const
     Json j = Json::object();
     j.set("ran", Json(ran));
     j.set("skipped", Json(skipped));
+    j.set("duplicate", Json(duplicate));
     j.set("clean", Json(clean));
     j.set("race", Json(racy));
     j.set("hw", Json(hw));

@@ -144,6 +144,9 @@ struct CampaignSummary
 {
     std::uint64_t ran = 0;     //!< cells actually simulated
     std::uint64_t skipped = 0; //!< journaled cells skipped on resume
+    /** Cells skipped because their key already ran in this run (the
+     *  base stream or a frontier mutant repeated it). */
+    std::uint64_t duplicate = 0;
     std::uint64_t clean = 0;
     std::uint64_t racy = 0;    //!< software races (contract void)
     std::uint64_t hw = 0;      //!< cells with hardware violations

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
+#include "campaign/cell.hh"
 #include "common/logging.hh"
 
 namespace wo {
@@ -10,16 +12,21 @@ namespace wo {
 bool
 reproducesViolation(const Program &prog,
                     const std::vector<WarmTerm> &warm, SystemCfg cfg,
-                    ViolationKind kind)
+                    ViolationKind kind, MaterializeCache *worker)
 {
     cfg.monitor = true;
     cfg.quiet = true;
     cfg.dump_on_fail.clear(); // candidates must not spray evidence files
-    System sys(prog, cfg);
+    std::optional<System> own;
+    System &sys =
+        worker ? worker->machine(prog, cfg) : own.emplace(prog, cfg);
     for (const auto &w : warm)
         sys.warmShared(w.addr, w.procs);
-    sys.run();
-    return sys.monitor()->countOf(kind) > 0;
+    const SystemResult r = sys.run();
+    const bool reproduced = sys.monitor()->countOf(kind) > 0;
+    if (worker)
+        worker->release(r);
+    return reproduced;
 }
 
 namespace {
@@ -299,12 +306,12 @@ ShrinkOutcome
 shrinkCounterexample(const Program &prog,
                      const std::vector<WarmTerm> &warm,
                      const SystemCfg &sys_cfg, ViolationKind kind,
-                     const ShrinkCfg &cfg)
+                     const ShrinkCfg &cfg, MaterializeCache *worker)
 {
     return shrinkCounterexample(
         prog, warm,
         [&](const Program &p, const std::vector<WarmTerm> &w) {
-            return reproducesViolation(p, w, sys_cfg, kind);
+            return reproducesViolation(p, w, sys_cfg, kind, worker);
         },
         cfg);
 }

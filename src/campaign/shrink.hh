@@ -34,6 +34,8 @@
 
 namespace wo {
 
+class MaterializeCache;
+
 /** Shrinking knobs. */
 struct ShrinkCfg
 {
@@ -59,11 +61,14 @@ struct ShrinkOutcome
 /**
  * Does @p kind still reproduce when @p prog runs under @p cfg?  One
  * timed run with the monitor attached; @p warm is applied first.
- * (@p cfg.monitor is forced on and @p cfg.quiet forced true.)
+ * (@p cfg.monitor is forced on and @p cfg.quiet forced true.)  With
+ * @p worker the run reuses that worker's machine instead of building
+ * one.
  */
 bool reproducesViolation(const Program &prog,
                          const std::vector<WarmTerm> &warm, SystemCfg cfg,
-                         ViolationKind kind);
+                         ViolationKind kind,
+                         MaterializeCache *worker = nullptr);
 
 /**
  * "Does the failure still reproduce on this candidate?"  Each call
@@ -87,13 +92,15 @@ ShrinkOutcome shrinkCounterexample(const Program &prog,
 
 /**
  * Minimize @p prog while @p kind keeps reproducing under @p sys_cfg
- * (the monitored timed-run predicate).
+ * (the monitored timed-run predicate), on @p worker's machine when
+ * given.
  */
 ShrinkOutcome shrinkCounterexample(const Program &prog,
                                    const std::vector<WarmTerm> &warm,
                                    const SystemCfg &sys_cfg,
                                    ViolationKind kind,
-                                   const ShrinkCfg &cfg = {});
+                                   const ShrinkCfg &cfg = {},
+                                   MaterializeCache *worker = nullptr);
 
 } // namespace wo
 

@@ -1,5 +1,7 @@
 #include "cache.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "obs/obs.hh"
 
@@ -8,10 +10,42 @@ namespace wo {
 Cache::Cache(NodeId id, NodeId dir, ProcId procs, EventQueue &eq,
              Network &net, CacheClient *client, Addr n_locs,
              const CacheCfg &cfg)
-    : id_(id), dir_(dir), eq_(eq), net_(net), client_(client), cfg_(cfg),
-      lines_(n_locs), stats_(strprintf("cache%u", id))
+    : id_(id), eq_(eq), net_(net), client_(client),
+      stats_(strprintf("cache%u", id))
 {
     (void)procs;
+    reset(dir, n_locs, cfg);
+}
+
+void
+Cache::reset(NodeId dir, Addr n_locs, const CacheCfg &cfg)
+{
+    dir_ = dir;
+    cfg_ = cfg;
+    lines_.assign(n_locs, Line{});
+    if (mshrs_.size() < n_locs)
+        mshrs_.resize(n_locs);
+    for (Mshr &m : mshrs_) {
+        m.live = false;
+        m.queued_reqs.clear();
+        m.queued_fwds.clear();
+    }
+    live_mshrs_ = 0;
+    mem_ack_wait_.assign(n_locs, no_mem_ack);
+    reserved_.clear();
+    counter_ = 0;
+    misses_in_flight_ = 0;
+    reserved_window_misses_ = 0;
+    deferred_.clear();
+    stalled_.clear();
+    stats_.clear();
+}
+
+bool
+Cache::isReserved(Addr addr) const
+{
+    return std::find(reserved_.begin(), reserved_.end(), addr) !=
+           reserved_.end();
 }
 
 Value
@@ -34,7 +68,7 @@ void
 Cache::warmShared(Addr addr, Value v)
 {
     wo_assert(addr < lines_.size(), "addr %u out of range", addr);
-    wo_assert(lines_[addr].st == LineState::invalid && mshrs_.empty(),
+    wo_assert(lines_[addr].st == LineState::invalid && live_mshrs_ == 0,
               "warming a live cache");
     lines_[addr] = Line{LineState::shared, v};
 }
@@ -42,11 +76,11 @@ Cache::warmShared(Addr addr, Value v)
 void
 Cache::access(const CacheReq &req)
 {
-    auto it = mshrs_.find(req.addr);
-    if (it != mshrs_.end()) {
+    Mshr &m = mshrs_[req.addr];
+    if (m.live) {
         // A transaction for this address is in flight: keep same-address
         // program order by queueing behind it.
-        it->second.queued_reqs.push_back(req);
+        m.queued_reqs.push_back(req);
         return;
     }
     // Once the bounded-miss throttle has deferred anything, every later
@@ -108,7 +142,8 @@ Cache::commit(const CacheReq &req, Tick delay, bool performed_now)
     const bool write_path =
         req.write || (req.is_sync && !cfg_.sync_reads_as_reads);
     if (req.is_sync && write_path && counter_ > 0) {
-        reserved_.insert(req.addr);
+        if (!isReserved(req.addr))
+            reserved_.push_back(req.addr);
         stats_.counter("reservations").inc();
         if (Obs *obs = eq_.obs())
             obs->reserveSet(id_, req.addr, eq_.now());
@@ -146,11 +181,14 @@ Cache::sendMiss(const CacheReq &req, bool exclusive)
     }
     if (!reserved_.empty())
         ++reserved_window_misses_;
-    Mshr m;
+    Mshr &m = mshrs_[req.addr];
+    wo_assert(!m.live, "second MSHR for line %u at cache %u", req.addr,
+              id_);
+    m.live = true;
     m.req = req;
     m.want_exclusive = exclusive;
     m.issued = eq_.now();
-    mshrs_.emplace(req.addr, std::move(m));
+    ++live_mshrs_;
     ++counter_;
     ++misses_in_flight_;
     stats_.counter(exclusive ? "write_misses" : "read_misses").inc();
@@ -192,10 +230,10 @@ Cache::decrementCounter()
             obs->counterChanged(id_, counter_, eq_.now());
         reserved_window_misses_ = 0;
         // Queue-mode stalled requests are serviced now.
-        std::deque<Message> stalled;
-        stalled.swap(stalled_);
-        for (const Message &m : stalled)
+        stalled_scratch_.swap(stalled_);
+        for (const Message &m : stalled_scratch_)
             serveForward(m);
+        stalled_scratch_.clear();
     } else if (Obs *obs = eq_.obs()) {
         obs->counterChanged(id_, counter_, eq_.now());
     }
@@ -214,9 +252,9 @@ Cache::drainDeferred()
         CacheReq req = deferred_.front();
         deferred_.pop_front();
         // Re-enter through access() so MSHR queueing stays correct.
-        auto it = mshrs_.find(req.addr);
-        if (it != mshrs_.end())
-            it->second.queued_reqs.push_back(req);
+        Mshr &m = mshrs_[req.addr];
+        if (m.live)
+            m.queued_reqs.push_back(req);
         else
             start(req);
     }
@@ -228,18 +266,17 @@ Cache::mustStall(const Message &msg) const
     // A reserved line is never given away; see the file comment.  Only
     // synchronization requests are expected here in DRF0 programs, but the
     // conservative rule also protects against racy data traffic.
-    (void)msg;
-    return reserved_.count(msg.addr) > 0;
+    return isReserved(msg.addr);
 }
 
 void
 Cache::serveForward(const Message &msg)
 {
-    auto it = mshrs_.find(msg.addr);
-    if (it != mshrs_.end()) {
+    Mshr &m = mshrs_[msg.addr];
+    if (m.live) {
         // Our own data has not arrived yet (cross-channel race); serve the
         // forward once it does.
-        it->second.queued_fwds.push_back(msg);
+        m.queued_fwds.push_back(msg);
         return;
     }
     if (mustStall(msg)) {
@@ -303,11 +340,16 @@ Cache::serveForward(const Message &msg)
 void
 Cache::handleData(const Message &msg)
 {
-    auto it = mshrs_.find(msg.addr);
-    wo_assert(it != mshrs_.end(), "data for %u with no MSHR at cache %u",
-              msg.addr, id_);
-    Mshr m = std::move(it->second);
-    mshrs_.erase(it);
+    Mshr &m = mshrs_[msg.addr];
+    wo_assert(m.live, "data for %u with no MSHR at cache %u", msg.addr,
+              id_);
+    // Retire the MSHR before anything below can open a new one for the
+    // same line; its queues move to the drain buffers.
+    m.live = false;
+    --live_mshrs_;
+    const CacheReq req = m.req;
+    queued_scratch_.swap(m.queued_reqs);
+    fwds_scratch_.swap(m.queued_fwds);
     --misses_in_flight_;
     stats_.histogram(m.want_exclusive ? "write_miss_latency"
                                       : "read_miss_latency")
@@ -329,35 +371,32 @@ Cache::handleData(const Message &msg)
             decrementCounter();
         } else {
             performed_now = false;
-            wo_assert(!mem_ack_wait_.count(msg.addr),
+            wo_assert(mem_ack_wait_[msg.addr] == no_mem_ack,
                       "two pending MemAcks for line %u", msg.addr);
-            mem_ack_wait_[msg.addr] = m.req.id;
+            mem_ack_wait_[msg.addr] = req.id;
         }
     }
-    commit(m.req, 0, performed_now);
+    commit(req, 0, performed_now);
 
     // Same-address requests queued behind the miss run now, as hits (or a
     // fresh upgrade miss if we only obtained a shared copy).
-    std::deque<CacheReq> queued;
-    queued.swap(m.queued_reqs);
-    for (const CacheReq &r : queued)
+    for (const CacheReq &r : queued_scratch_)
         access(r);
+    queued_scratch_.clear();
 
     // Forwards that raced ahead of our data are served last.
-    std::deque<Message> fwds;
-    fwds.swap(m.queued_fwds);
-    for (const Message &f : fwds)
+    for (const Message &f : fwds_scratch_)
         serveForward(f);
+    fwds_scratch_.clear();
 }
 
 void
 Cache::handleMemAck(const Message &msg)
 {
-    auto it = mem_ack_wait_.find(msg.addr);
-    wo_assert(it != mem_ack_wait_.end(),
+    const std::uint64_t rid = mem_ack_wait_[msg.addr];
+    wo_assert(rid != no_mem_ack,
               "unexpected MemAck for line %u at cache %u", msg.addr, id_);
-    const std::uint64_t rid = it->second;
-    mem_ack_wait_.erase(it);
+    mem_ack_wait_[msg.addr] = no_mem_ack;
     decrementCounter();
     CacheClient *client = client_;
     eq_.schedule(0,
@@ -390,10 +429,9 @@ Cache::handleInv(const Message &msg)
 void
 Cache::handleNack(const Message &msg)
 {
-    auto it = mshrs_.find(msg.addr);
-    wo_assert(it != mshrs_.end(), "nack for %u with no MSHR at cache %u",
-              msg.addr, id_);
-    Mshr &m = it->second;
+    Mshr &m = mshrs_[msg.addr];
+    wo_assert(m.live, "nack for %u with no MSHR at cache %u", msg.addr,
+              id_);
     stats_.counter("nacks").inc();
     if (Obs *obs = eq_.obs())
         obs->reqNack(id_, m.req.id);
@@ -411,7 +449,7 @@ Cache::handleNack(const Message &msg)
                  },
                  [this, addr, exclusive, is_sync] {
                      // The MSHR is still allocated; re-send the request.
-                     wo_assert(mshrs_.count(addr),
+                     wo_assert(mshrs_[addr].live,
                                "retry without MSHR for %u", addr);
                      ++counter_;
                      ++misses_in_flight_;

@@ -28,13 +28,11 @@
 #ifndef WO_COHERENCE_CACHE_HH
 #define WO_COHERENCE_CACHE_HH
 
-#include <deque>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "coherence/message.hh"
 #include "coherence/network.hh"
+#include "common/fifo.hh"
 #include "common/stats.hh"
 #include "event/event_queue.hh"
 
@@ -118,6 +116,14 @@ class Cache : public MsgHandler
     Cache(NodeId id, NodeId dir, ProcId procs, EventQueue &eq, Network &net,
           CacheClient *client, Addr n_locs, const CacheCfg &cfg);
 
+    /**
+     * Restore the freshly-constructed state for a machine whose
+     * directory is node @p dir and whose memory has @p n_locs words:
+     * every line invalid, no miss in flight, counter zero, statistics
+     * cleared.  Line and MSHR storage is kept for reuse.
+     */
+    void reset(NodeId dir, Addr n_locs, const CacheCfg &cfg);
+
     /** CPU entry point: start a memory request. */
     void access(const CacheReq &req);
 
@@ -134,7 +140,7 @@ class Cache : public MsgHandler
     int counter() const { return counter_; }
 
     /** Is @p addr currently reserved here? */
-    bool isReserved(Addr addr) const { return reserved_.count(addr) > 0; }
+    bool isReserved(Addr addr) const;
 
     /** Local line value (for final-state assembly); line must be valid. */
     Value lineValue(Addr addr) const;
@@ -161,19 +167,25 @@ class Cache : public MsgHandler
     };
 
     /**
-     * Miss bookkeeping for one address.  The MSHR lives from the first
-     * GetS/GetX until the data arrives (surviving NACK/retry cycles);
-     * the wait for a MemAck after the data is tracked separately in
-     * mem_ack_wait_ because the line is already usable then.
+     * Miss bookkeeping for one address, one slot per memory word.  The
+     * MSHR is live from the first GetS/GetX until the data arrives
+     * (surviving NACK/retry cycles); the wait for a MemAck after the
+     * data is tracked separately in mem_ack_wait_ because the line is
+     * already usable then.  The queues are empty whenever the slot is
+     * not live and keep their capacity across misses.
      */
     struct Mshr
     {
+        bool live = false;
         CacheReq req;
         bool want_exclusive = false;
-        Tick issued = 0;                  //!< first GetS/GetX send time
-        std::deque<CacheReq> queued_reqs; //!< same-address CPU requests
-        std::deque<Message> queued_fwds;  //!< forwards pending our data
+        Tick issued = 0;                   //!< first GetS/GetX send time
+        std::vector<CacheReq> queued_reqs; //!< same-address CPU requests
+        std::vector<Message> queued_fwds;  //!< forwards pending our data
     };
+
+    /** mem_ack_wait_ entry of a line with no MemAck pending. */
+    static constexpr std::uint64_t no_mem_ack = ~std::uint64_t{0};
 
     /** Dispatch a request against the current line state. */
     void start(const CacheReq &req);
@@ -212,14 +224,21 @@ class Cache : public MsgHandler
     CacheClient *client_;
     CacheCfg cfg_;
     std::vector<Line> lines_;
-    std::map<Addr, Mshr> mshrs_;
-    std::map<Addr, std::uint64_t> mem_ack_wait_; //!< req awaiting MemAck
-    std::set<Addr> reserved_;
+    std::vector<Mshr> mshrs_;                 //!< per address (only grows)
+    std::size_t live_mshrs_ = 0;
+    std::vector<std::uint64_t> mem_ack_wait_; //!< per address: req id
+    std::vector<Addr> reserved_;              //!< reserved lines, unique
     int counter_ = 0;
     int misses_in_flight_ = 0;
     int reserved_window_misses_ = 0; //!< misses sent while reserved
-    std::deque<CacheReq> deferred_; //!< throttled misses awaiting issue
-    std::deque<Message> stalled_;   //!< queue-mode stalled forwards
+    Fifo<CacheReq> deferred_;       //!< throttled misses awaiting issue
+    std::vector<Message> stalled_;  //!< queue-mode stalled forwards
+    // Drain buffers swapped with the queues above while they are
+    // replayed, so replay never allocates and new arrivals land in
+    // the (emptied) original.
+    std::vector<CacheReq> queued_scratch_;
+    std::vector<Message> fwds_scratch_;
+    std::vector<Message> stalled_scratch_;
     StatGroup stats_;
 };
 

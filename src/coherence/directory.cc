@@ -1,36 +1,70 @@
 #include "directory.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace wo {
 
 Directory::Directory(NodeId id, Network &net, std::vector<Value> initial,
                      const DirectoryCfg &cfg)
-    : id_(id), net_(net), cfg_(cfg), stats_("dir")
+    : net_(net), stats_("dir")
 {
-    lines_.resize(initial.size());
-    for (std::size_t a = 0; a < initial.size(); ++a)
-        lines_[a].mem = initial[a];
+    reset(id, initial, cfg);
+}
+
+void
+Directory::reset(NodeId id, const std::vector<Value> &initial,
+                 const DirectoryCfg &cfg)
+{
+    id_ = id;
+    cfg_ = cfg;
+    nlines_ = static_cast<Addr>(initial.size());
+    if (lines_.size() < nlines_)
+        lines_.resize(nlines_);
+    for (Addr a = 0; a < nlines_; ++a) {
+        DirLine &l = lines_[a];
+        l.st = LineState::uncached;
+        l.sharers.clear();
+        l.owner = invalid_proc;
+        l.mem = initial[a];
+        l.busy = false;
+        l.collecting = false;
+        l.acks_needed = 0;
+        l.acks_got = 0;
+        l.writer = invalid_proc;
+        l.data_deferred = false;
+        l.waiting.clear();
+    }
+    stats_.clear();
+}
+
+void
+Directory::addSharer(DirLine &l, NodeId node)
+{
+    auto it = std::lower_bound(l.sharers.begin(), l.sharers.end(), node);
+    if (it == l.sharers.end() || *it != node)
+        l.sharers.insert(it, node);
 }
 
 Directory::DirLine &
 Directory::line(Addr addr)
 {
-    wo_assert(addr < lines_.size(), "dir line %u out of range", addr);
+    wo_assert(addr < nlines_, "dir line %u out of range", addr);
     return lines_[addr];
 }
 
 Value
 Directory::memoryValue(Addr addr) const
 {
-    wo_assert(addr < lines_.size(), "dir line %u out of range", addr);
+    wo_assert(addr < nlines_, "dir line %u out of range", addr);
     return lines_[addr].mem;
 }
 
 NodeId
 Directory::ownerOf(Addr addr) const
 {
-    wo_assert(addr < lines_.size(), "dir line %u out of range", addr);
+    wo_assert(addr < nlines_, "dir line %u out of range", addr);
     return lines_[addr].st == LineState::exclusive ? lines_[addr].owner
                                                    : invalid_proc;
 }
@@ -38,19 +72,18 @@ Directory::ownerOf(Addr addr) const
 bool
 Directory::quiescent() const
 {
-    for (const auto &l : lines_)
-        if (l.busy || l.collecting || !l.waiting.empty())
-            return false;
-    return true;
+    return busyLines() == 0;
 }
 
 std::uint64_t
 Directory::busyLines() const
 {
     std::uint64_t n = 0;
-    for (const auto &l : lines_)
+    for (Addr a = 0; a < nlines_; ++a) {
+        const DirLine &l = lines_[a];
         if (l.busy || l.collecting || !l.waiting.empty())
             ++n;
+    }
     return n;
 }
 
@@ -60,7 +93,7 @@ Directory::warmSharer(Addr addr, NodeId node)
     DirLine &l = line(addr);
     wo_assert(l.st != LineState::exclusive, "warming an exclusive line");
     l.st = LineState::shared;
-    l.sharers.insert(node);
+    addSharer(l, node);
 }
 
 void
@@ -93,7 +126,7 @@ Directory::handleGetS(const Message &msg)
         [[fallthrough]];
       case LineState::shared: {
         l.st = LineState::shared;
-        l.sharers.insert(msg.src);
+        addSharer(l, msg.src);
         Message d;
         d.type = MsgType::data_s;
         d.src = id_;
@@ -144,38 +177,43 @@ Directory::handleGetX(const Message &msg)
         break;
       }
       case LineState::shared: {
-        std::set<NodeId> others = l.sharers;
-        others.erase(msg.src);
+        // Every sharer but the writer is invalidated, in ascending
+        // order; the sharer set empties once they are sent.
+        const int others = static_cast<int>(
+            l.sharers.size() -
+            std::count(l.sharers.begin(), l.sharers.end(), msg.src));
         l.st = LineState::exclusive;
         l.owner = msg.src;
-        l.sharers.clear();
         Message d;
         d.type = MsgType::data_x;
         d.src = id_;
         d.dst = msg.src;
         d.addr = msg.addr;
         d.value = l.mem;
-        if (others.empty()) {
+        if (others == 0) {
+            l.sharers.clear();
             d.ack_count = 0;
             net_.send(d);
             break;
         }
         l.collecting = true;
-        l.acks_needed = static_cast<int>(others.size());
+        l.acks_needed = others;
         l.acks_got = 0;
         l.writer = msg.src;
         if (cfg_.forward_line_with_invs) {
             // Section 5.2's design point: the line is forwarded in
             // parallel with the invalidations; a MemAck follows once all
             // acks are in.
-            d.ack_count = static_cast<int>(others.size());
+            d.ack_count = others;
             net_.send(d);
         } else {
             // Conservative ablation: withhold the grant until every
             // invalidation is acknowledged.
             l.data_deferred = true;
         }
-        for (NodeId s : others) {
+        for (NodeId s : l.sharers) {
+            if (s == msg.src)
+                continue;
             Message inv;
             inv.type = MsgType::inv;
             inv.src = id_;
@@ -184,6 +222,7 @@ Directory::handleGetX(const Message &msg)
             inv.requester = msg.src;
             net_.send(inv);
         }
+        l.sharers.clear();
         break;
       }
       case LineState::exclusive: {
@@ -211,7 +250,9 @@ Directory::handleWbData(const Message &msg)
     // The old owner downgraded to shared; the requester joins it.
     l.mem = msg.value;
     l.st = LineState::shared;
-    l.sharers = {msg.src, msg.requester};
+    l.sharers.clear();
+    addSharer(l, msg.src);
+    addSharer(l, msg.requester);
     l.owner = invalid_proc;
     Message d;
     d.type = MsgType::data_s;

@@ -18,12 +18,11 @@
 #ifndef WO_COHERENCE_DIRECTORY_HH
 #define WO_COHERENCE_DIRECTORY_HH
 
-#include <deque>
-#include <set>
 #include <vector>
 
 #include "coherence/message.hh"
 #include "coherence/network.hh"
+#include "common/fifo.hh"
 #include "common/stats.hh"
 
 namespace wo {
@@ -63,6 +62,14 @@ class Directory : public MsgHandler
     Directory(NodeId id, Network &net, std::vector<Value> initial,
               const DirectoryCfg &cfg = {});
 
+    /**
+     * Restore the freshly-constructed state as node @p id over memory
+     * image @p initial: every line uncached and idle, statistics
+     * cleared.  Line storage is kept for reuse.
+     */
+    void reset(NodeId id, const std::vector<Value> &initial,
+               const DirectoryCfg &cfg);
+
     /** Protocol entry point. */
     void receive(const Message &msg) override;
 
@@ -90,7 +97,7 @@ class Directory : public MsgHandler
     struct DirLine
     {
         LineState st = LineState::uncached;
-        std::set<NodeId> sharers;
+        std::vector<NodeId> sharers; //!< ascending, no duplicates
         NodeId owner = invalid_proc;
         Value mem = 0;
         bool busy = false;
@@ -100,7 +107,7 @@ class Directory : public MsgHandler
         int acks_got = 0;
         NodeId writer = invalid_proc;
         bool data_deferred = false; //!< grant withheld until acks collected
-        std::deque<Message> waiting;
+        Fifo<Message> waiting;
     };
 
     void handleGetS(const Message &msg);
@@ -115,9 +122,14 @@ class Directory : public MsgHandler
 
     DirLine &line(Addr addr);
 
+    /** Add @p node to the line's sharer set. */
+    static void addSharer(DirLine &l, NodeId node);
+
     NodeId id_;
     Network &net_;
     DirectoryCfg cfg_;
+    Addr nlines_ = 0; //!< lines of the current memory image
+    /** Only grows: lines past nlines_ are storage kept for a reset. */
     std::vector<DirLine> lines_;
     StatGroup stats_;
 };

@@ -42,6 +42,9 @@ enum class MsgType : std::uint8_t
 /** Printable message-type name. */
 const char *msgTypeName(MsgType t);
 
+/** The network's per-type statistic name: "msg." + msgTypeName(t). */
+const char *msgStatName(MsgType t);
+
 /** One protocol message. */
 struct Message
 {

@@ -8,8 +8,21 @@
 namespace wo {
 
 Network::Network(EventQueue &eq, const NetworkCfg &cfg)
-    : eq_(eq), cfg_(cfg), rng_(cfg.seed), stats_("net")
+    : eq_(eq), stats_("net")
 {
+    reset(cfg);
+}
+
+void
+Network::reset(const NetworkCfg &cfg)
+{
+    cfg_ = cfg;
+    rng_ = Rng(cfg.seed);
+    handlers_.clear();
+    for (auto &row : last_delivery_)
+        row.clear();
+    in_flight_ = 0;
+    stats_.clear();
 }
 
 void
@@ -24,7 +37,12 @@ Network::attach(NodeId id, MsgHandler *handler)
 Tick
 Network::nextDepartureSlot(NodeId src, NodeId dst, Tick earliest)
 {
-    Tick &last = last_delivery_[{src, dst}];
+    if (last_delivery_.size() <= src)
+        last_delivery_.resize(src + 1);
+    std::vector<Tick> &row = last_delivery_[src];
+    if (row.size() <= dst)
+        row.resize(dst + 1, 0);
+    Tick &last = row[dst];
     Tick slot = std::max(earliest, last + 1);
     last = slot;
     return slot;
@@ -37,7 +55,7 @@ Network::send(Message msg)
               "message to unattached node %u: %s", msg.dst,
               msg.toString().c_str());
     stats_.counter("messages").inc();
-    stats_.counter(std::string("msg.") + msgTypeName(msg.type)).inc();
+    stats_.counter(msgStatName(msg.type)).inc();
     Tick delay = cfg_.hop_latency;
     if (cfg_.jitter > 0)
         delay += rng_.below(cfg_.jitter + 1);

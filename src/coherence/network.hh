@@ -11,8 +11,6 @@
 #ifndef WO_COHERENCE_NETWORK_HH
 #define WO_COHERENCE_NETWORK_HH
 
-#include <functional>
-#include <map>
 #include <vector>
 
 #include "coherence/message.hh"
@@ -50,6 +48,13 @@ class Network
      */
     Network(EventQueue &eq, const NetworkCfg &cfg);
 
+    /**
+     * Restore the freshly-constructed state under @p cfg: no handlers,
+     * empty pair history, the jitter RNG reseeded, statistics cleared.
+     * Table and statistics storage is kept for reuse.
+     */
+    void reset(const NetworkCfg &cfg);
+
     /** Register the handler for node @p id (must outlive the network). */
     void attach(NodeId id, MsgHandler *handler);
 
@@ -73,8 +78,9 @@ class Network
     NetworkCfg cfg_;
     Rng rng_;
     std::vector<MsgHandler *> handlers_;
-    // Last scheduled delivery tick per (src,dst) pair, to keep FIFO order.
-    std::map<std::pair<NodeId, NodeId>, Tick> last_delivery_;
+    // Last scheduled delivery tick per (src,dst) pair, to keep FIFO
+    // order: last_delivery_[src][dst], rows grown on first use.
+    std::vector<std::vector<Tick>> last_delivery_;
     std::uint64_t in_flight_ = 0; //!< sent, not yet delivered
     StatGroup stats_;
 };

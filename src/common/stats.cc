@@ -81,6 +81,21 @@ StatGroup::resetAll()
         kv.second.reset();
 }
 
+void
+StatGroup::clear()
+{
+    while (!counters_.empty()) {
+        auto node = counters_.extract(counters_.begin());
+        node.mapped().reset();
+        spare_counters_.push_back(std::move(node));
+    }
+    while (!hists_.empty()) {
+        auto node = hists_.extract(hists_.begin());
+        node.mapped().reset();
+        spare_hists_.push_back(std::move(node));
+    }
+}
+
 std::string
 StatGroup::dump() const
 {

@@ -12,8 +12,10 @@
 #define WO_COMMON_STATS_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace wo {
@@ -101,24 +103,47 @@ class Histogram
     mutable bool sorted_ = true;
 };
 
-/** A named collection of counters and histograms with a text dump. */
+/**
+ * A named collection of counters and histograms with a text dump.
+ *
+ * Lookups are heterogeneous (std::less<>), so `counter("read_hits")`
+ * finds an existing statistic without building a std::string key.
+ * clear() empties the group but parks the map nodes, so a group
+ * cleared between runs re-creates the same statistics without touching
+ * the heap.
+ */
 class StatGroup
 {
   public:
+    using CounterMap = std::map<std::string, Counter, std::less<>>;
+    using HistogramMap = std::map<std::string, Histogram, std::less<>>;
+
     /** Construct a group labelled @p name (appears in dumps). */
     explicit StatGroup(std::string name) : name_(std::move(name)) {}
 
     /** Find or create the counter @p name. */
-    Counter &counter(const std::string &name) { return counters_[name]; }
+    Counter &counter(std::string_view name)
+    {
+        return findOrAdd(counters_, spare_counters_, name);
+    }
 
     /** Find or create the histogram @p name. */
-    Histogram &histogram(const std::string &name) { return hists_[name]; }
+    Histogram &histogram(std::string_view name)
+    {
+        return findOrAdd(hists_, spare_hists_, name);
+    }
 
     /** Group label. */
     const std::string &name() const { return name_; }
 
-    /** Reset every statistic in the group. */
+    /** Reset every statistic in the group (the statistics stay). */
     void resetAll();
+
+    /**
+     * Remove every statistic, so the group reads as freshly
+     * constructed; the storage is kept for the next run's statistics.
+     */
+    void clear();
 
     /**
      * Render all statistics as "group.stat value" lines.
@@ -131,21 +156,38 @@ class StatGroup
     std::string dump() const;
 
     /** Read access for formatters. */
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
+    const CounterMap &counters() const { return counters_; }
 
     /** Read access for formatters. */
-    const std::map<std::string, Histogram> &histograms() const
-    {
-        return hists_;
-    }
+    const HistogramMap &histograms() const { return hists_; }
 
   private:
+    /** Lookup, else revive a parked node named @p name, else insert. */
+    template <typename Map>
+    static typename Map::mapped_type &
+    findOrAdd(Map &map, std::vector<typename Map::node_type> &spare,
+              std::string_view name)
+    {
+        auto it = map.find(name);
+        if (it != map.end())
+            return it->second;
+        for (std::size_t i = spare.size(); i-- > 0;) {
+            if (spare[i].key() != name)
+                continue;
+            typename Map::node_type node = std::move(spare[i]);
+            spare[i] = std::move(spare.back());
+            spare.pop_back();
+            return map.insert(std::move(node)).position->second;
+        }
+        return map.emplace(std::string(name), typename Map::mapped_type{})
+            .first->second;
+    }
+
     std::string name_;
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Histogram> hists_;
+    CounterMap counters_;
+    HistogramMap hists_;
+    std::vector<CounterMap::node_type> spare_counters_;
+    std::vector<HistogramMap::node_type> spare_hists_;
 };
 
 } // namespace wo

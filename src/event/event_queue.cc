@@ -10,13 +10,35 @@ namespace wo {
 
 EventQueue::EventQueue(EventQueueKind kind) : kind_(kind)
 {
+    reset(kind);
+}
+
+void
+EventQueue::reset(EventQueueKind kind)
+{
 #ifndef WO_HAVE_LEGACY_EVENT_QUEUE
-    wo_assert(kind_ == EventQueueKind::calendar,
+    wo_assert(kind == EventQueueKind::calendar,
               "legacy event queue requested but compiled out "
               "(configure with -DWO_LEGACY_EVENT_QUEUE=ON)");
 #endif
+    kind_ = kind;
+    now_ = 0;
+    obs_ = nullptr;
+    next_seq_ = 0;
+    executed_ = 0;
+    pending_ = 0;
+    wheel_base_ = 0;
+    wheel_pending_ = 0;
+    overflow_.clear();
+#ifdef WO_HAVE_LEGACY_EVENT_QUEUE
+    pq_ = {};
+#endif
     if (kind_ == EventQueueKind::calendar) {
         wheel_.resize(wheel_size);
+        for (Bucket &b : wheel_) {
+            b.events.clear();
+            b.pos = 0;
+        }
         occupied_.assign(wheel_size / 64, 0);
     }
 }

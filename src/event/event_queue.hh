@@ -70,6 +70,14 @@ class EventQueue
   public:
     explicit EventQueue(EventQueueKind kind = EventQueueKind::calendar);
 
+    /**
+     * Drop every pending event and restore the freshly-constructed
+     * state (time 0, sequence 0, no hub) under kernel @p kind.  The
+     * bucket arena keeps its capacity, so a reused queue schedules
+     * without allocating from its first event on.
+     */
+    void reset(EventQueueKind kind);
+
     /** The kernel implementation backing this queue. */
     EventQueueKind kind() const { return kind_; }
 

@@ -9,10 +9,25 @@ namespace wo {
 
 Execution::Execution(ProcId num_procs, Addr num_locations,
                      std::vector<Value> initial)
-    : per_proc_(num_procs), initial_(std::move(initial))
+    : initial_(std::move(initial))
 {
-    if (initial_.empty())
-        initial_.resize(num_locations, 0);
+    reset(num_procs, num_locations, initial_);
+}
+
+void
+Execution::reset(ProcId num_procs, Addr num_locations,
+                 const std::vector<Value> &initial)
+{
+    ops_.clear();
+    nprocs_ = num_procs;
+    if (per_proc_.size() < num_procs)
+        per_proc_.resize(num_procs);
+    for (auto &ids : per_proc_)
+        ids.clear();
+    if (initial.empty())
+        initial_.assign(num_locations, 0);
+    else if (&initial != &initial_)
+        initial_ = initial;
     wo_assert(initial_.size() == num_locations,
               "initial image size %zu != %u locations", initial_.size(),
               num_locations);
@@ -22,7 +37,7 @@ OpId
 Execution::append(ProcId proc, Addr addr, AccessKind kind, Value value_read,
                   Value value_written, Tick commit_tick)
 {
-    wo_assert(proc < per_proc_.size(), "proc %u out of range", proc);
+    wo_assert(proc < nprocs_, "proc %u out of range", proc);
     wo_assert(addr < initial_.size(), "addr %u out of range", addr);
     MemoryOp op;
     op.id = static_cast<OpId>(ops_.size());
@@ -41,7 +56,7 @@ Execution::append(ProcId proc, Addr addr, AccessKind kind, Value value_read,
 const std::vector<OpId> &
 Execution::procOps(ProcId p) const
 {
-    wo_assert(p < per_proc_.size(), "proc %u out of range", p);
+    wo_assert(p < nprocs_, "proc %u out of range", p);
     return per_proc_[p];
 }
 

@@ -32,6 +32,14 @@ class Execution
               std::vector<Value> initial = {});
 
     /**
+     * Restore the freshly-constructed state (no operations) over new
+     * dimensions; the arguments mean what the constructor's do.
+     * Storage is kept for reuse.
+     */
+    void reset(ProcId num_procs, Addr num_locations,
+               const std::vector<Value> &initial);
+
+    /**
      * Append an operation.  Ops must be appended in the global completion
      * order if one is meaningful for the producing machine; per-processor
      * subsequences must always be in program order.  The op's id and
@@ -42,7 +50,7 @@ class Execution
                 Value value_written, Tick commit_tick = 0);
 
     /** Number of processors. */
-    ProcId numProcs() const { return static_cast<ProcId>(per_proc_.size()); }
+    ProcId numProcs() const { return nprocs_; }
 
     /** Number of shared locations. */
     Addr numLocations() const
@@ -77,6 +85,9 @@ class Execution
 
   private:
     std::vector<MemoryOp> ops_;
+    ProcId nprocs_ = 0;
+    /** Op ids per processor; only grows, entries past nprocs_ are
+     *  empty storage kept for a later reset. */
     std::vector<std::vector<OpId>> per_proc_;
     std::vector<Value> initial_;
 };

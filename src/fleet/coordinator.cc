@@ -120,9 +120,15 @@ Coordinator::teardown(bool drain)
                 c->sock->writeLine(msg);
     }
 
-    // Unblock the acceptor, then every reader.
-    if (listen_fd_ >= 0) {
+    // Unblock the acceptor and join it before the listener is closed:
+    // acceptLoop reads listen_fd_, and a closed descriptor number can
+    // be handed to another thread's open() while accept() still
+    // names it.  Then unblock every reader.
+    if (listen_fd_ >= 0)
         ::shutdown(listen_fd_, SHUT_RDWR);
+    if (acceptor_.joinable())
+        acceptor_.join();
+    if (listen_fd_ >= 0) {
         ::close(listen_fd_);
         listen_fd_ = -1;
     }
@@ -132,8 +138,6 @@ Coordinator::teardown(bool drain)
             c->sock->shutdownNow();
     }
     ev_cv_.notify_all();
-    if (acceptor_.joinable())
-        acceptor_.join();
     if (pump_.joinable())
         pump_.join();
     {

@@ -225,7 +225,7 @@ FleetWorker::executeLease(const Json &msg)
                         : shrinkCounterexample(
                               *run.program, run.warm,
                               cell.systemCfg(spec.max_events), kind,
-                              scfg);
+                              scfg, &cache);
                 Json failure = Json::object();
                 failure.set("kind", Json(run.result.primary_kind));
                 failure.set("wo_text", Json(s.wo_text));

@@ -94,7 +94,7 @@ Json::find(const std::string &key)
 }
 
 void
-jsonEscape(std::string &out, const std::string &text)
+jsonEscape(std::string &out, std::string_view text)
 {
     for (unsigned char c : text) {
         switch (c) {
@@ -120,10 +120,14 @@ jsonEscape(std::string &out, const std::string &text)
             out += "\\t";
             break;
           default:
-            if (c < 0x20)
-                out += strprintf("\\u%04x", c);
-            else
+            if (c < 0x20) {
+                static const char hex[] = "0123456789abcdef";
+                out += "\\u00";
+                out += hex[c >> 4];
+                out += hex[c & 0xf];
+            } else {
                 out += static_cast<char>(c);
+            }
         }
     }
 }

@@ -124,7 +124,7 @@ class Json
 };
 
 /** Append @p text to @p out with JSON string escaping (no quotes). */
-void jsonEscape(std::string &out, const std::string &text);
+void jsonEscape(std::string &out, std::string_view text);
 
 /** Result of parsing a JSON document. */
 struct JsonParseResult

@@ -48,19 +48,50 @@ std::string MonitorViolation::toString() const
 
 Monitor::Monitor(ProcId nprocs, Addr nlocs, std::vector<Value> initial,
                  const MonitorCfg &cfg)
-    : nprocs_(nprocs), cfg_(cfg), exec_(nprocs, nlocs, std::move(initial)),
-      proc_clock_(nprocs, VectorClock(nprocs)), locs_(nlocs),
-      counter_(nprocs, 0), reserve_bits_(nprocs, 0)
+    : exec_(nprocs, nlocs, std::move(initial))
 {
-    for (LocState &l : locs_) {
-        l.lastw.resize(nprocs);
-        l.lastr.resize(nprocs);
+    reset(nprocs, nlocs, exec_.initialMemory(), cfg);
+}
+
+void Monitor::reset(ProcId nprocs, Addr nlocs,
+                    const std::vector<Value> &initial,
+                    const MonitorCfg &cfg)
+{
+    nprocs_ = nprocs;
+    nlocs_ = nlocs;
+    cfg_ = cfg;
+    exec_.reset(nprocs, nlocs, initial);
+    if (proc_clock_.size() < nprocs)
+        proc_clock_.resize(nprocs);
+    for (ProcId p = 0; p < nprocs; ++p)
+        proc_clock_[p].reset(nprocs);
+    if (locs_.size() < nlocs)
+        locs_.resize(nlocs);
+    for (Addr a = 0; a < nlocs; ++a) {
+        LocState &l = locs_[a];
+        l.lastw.assign(nprocs, LastOp{});
+        l.lastr.assign(nprocs, LastOp{});
+        l.frontier_size = 0;
+        l.written_values.clear();
+        l.chan.reset(nprocs);
+        l.last_write_commit = 0;
+        l.raced = false;
+        l.pending_stale.clear();
     }
+    counter_.assign(nprocs, 0);
+    reserve_bits_.assign(nprocs, 0);
+    violations_.clear();
+    total_ = 0;
+    hardware_ = 0;
+    races_ = 0;
+    std::fill(std::begin(by_kind_), std::end(by_kind_), 0);
+    first_tick_ = max_tick;
+    finalized_ = false;
 }
 
 Monitor::LocState &Monitor::loc(Addr a)
 {
-    wo_assert(a < locs_.size(), "monitor: location %u out of range", a);
+    wo_assert(a < nlocs_, "monitor: location %u out of range", a);
     return locs_[a];
 }
 
@@ -85,19 +116,20 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
         exec_.append(p, addr, kind, value_read, value_written, commit_tick);
     const MemoryOp &op = exec_.op(id);
 
+    LocState &l = loc(addr);
+
     // The HbRelation construction, one op at a time: tick the issuer's
     // clock, then receive/publish through the location's sync channel.
-    VectorClock vc = proc_clock_[p];
+    // Nothing below reads the issuer's previous clock, so it advances
+    // in place.
+    VectorClock &vc = proc_clock_[p];
     vc[p] += 1;
     if (op.isSync()) {
-        auto chan = chan_.try_emplace(addr, VectorClock(nprocs_)).first;
-        vc.join(chan->second);
+        vc.join(l.chan);
         if (cfg_.flavor == HbRelation::SyncFlavor::drf0 ||
             kind != AccessKind::sync_read)
-            chan->second.join(vc);
+            l.chan.join(vc);
     }
-
-    LocState &l = loc(addr);
 
     // Race check first: a conflicting earlier op a races with this op
     // iff a is not hb-before it, i.e. a's own clock component exceeds
@@ -120,7 +152,8 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
         v.addr = addr;
         v.op_a = a.id;
         v.op_b = id;
-        v.detail = a.toString() + " races with " + op.toString();
+        if (recording())
+            v.detail = a.toString() + " races with " + op.toString();
         l.raced = true;
         // The contract is void here: any stale-read suspicion held
         // against this location was (or may have been) the race's own
@@ -143,7 +176,8 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
     if (op.isRead() && !l.raced) {
         const WriteRec *best = nullptr;
         bool ambiguous = false;
-        for (const WriteRec &w : l.frontier) {
+        for (std::size_t i = 0; i < l.frontier_size; ++i) {
+            const WriteRec &w = l.frontier[i];
             if (w.clock[w.proc] > vc[w.proc])
                 continue; // not hb-before this read
             if (best)
@@ -161,11 +195,6 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
             v.op_b = id;
             v.expected = expected;
             v.got = value_read;
-            v.detail = strprintf(
-                "%s returned %lld, hb-last write %s expected %lld",
-                op.toString().c_str(), static_cast<long long>(value_read),
-                best ? exec_.op(best->id).toString().c_str() : "(initial)",
-                static_cast<long long>(expected));
             // A value no retired write ever produced may belong to an
             // *in-flight* write racing with this read (the write's
             // retire hook simply has not fired yet) -- blaming the
@@ -176,7 +205,16 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
             // and is raised at the violating cycle.
             const bool known_value =
                 value_read == exec_.initialValue(addr) ||
-                l.written_values.count(value_read) > 0;
+                std::binary_search(l.written_values.begin(),
+                                   l.written_values.end(), value_read);
+            if (!known_value || recording())
+                v.detail = strprintf(
+                    "%s returned %lld, hb-last write %s expected %lld",
+                    op.toString().c_str(),
+                    static_cast<long long>(value_read),
+                    best ? exec_.op(best->id).toString().c_str()
+                         : "(initial)",
+                    static_cast<long long>(expected));
             if (known_value)
                 raise(std::move(v));
             else
@@ -193,11 +231,14 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
             v.proc = p;
             v.addr = addr;
             v.op_b = id;
-            v.detail = strprintf(
-                "%s committed @%llu retired after a write committed @%llu",
-                op.toString().c_str(),
-                static_cast<unsigned long long>(commit_tick),
-                static_cast<unsigned long long>(l.last_write_commit));
+            if (recording())
+                v.detail = strprintf("%s committed @%llu retired after a "
+                                     "write committed @%llu",
+                                     op.toString().c_str(),
+                                     static_cast<unsigned long long>(
+                                         commit_tick),
+                                     static_cast<unsigned long long>(
+                                         l.last_write_commit));
             raise(std::move(v));
         }
         l.last_write_commit = std::max(l.last_write_commit, commit_tick);
@@ -207,14 +248,31 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
     if (op.isRead())
         l.lastr[p] = {vc[p], id};
     if (op.isWrite()) {
-        l.written_values.insert(value_written);
+        auto wv = std::lower_bound(l.written_values.begin(),
+                                   l.written_values.end(), value_written);
+        if (wv == l.written_values.end() || *wv != value_written)
+            l.written_values.insert(wv, value_written);
         l.lastw[p] = {vc[p], id};
-        std::erase_if(l.frontier, [&](const WriteRec &w) {
-            return w.clock.leq(vc); // dominated by the new write
-        });
-        l.frontier.push_back({id, p, value_written, vc});
+        // Drop the writes the new one dominates, keeping the survivors
+        // in order; the dropped records move past frontier_size with
+        // their clock storage, and the new write reuses the first.
+        std::size_t keep = 0;
+        for (std::size_t i = 0; i < l.frontier_size; ++i) {
+            if (l.frontier[i].clock.leq(vc))
+                continue;
+            if (i != keep)
+                std::swap(l.frontier[i], l.frontier[keep]);
+            ++keep;
+        }
+        if (keep == l.frontier.size())
+            l.frontier.emplace_back();
+        WriteRec &w = l.frontier[keep];
+        w.id = id;
+        w.proc = p;
+        w.value = value_written;
+        w.clock = vc;
+        l.frontier_size = keep + 1;
     }
-    proc_clock_[p] = std::move(vc);
 }
 
 void Monitor::counterChanged(ProcId p, int value, Tick now)
@@ -226,8 +284,9 @@ void Monitor::counterChanged(ProcId p, int value, Tick now)
         v.kind = ViolationKind::counter_negative;
         v.tick = now;
         v.proc = p;
-        v.detail =
-            strprintf("P%u outstanding-access counter fell to %d", p, value);
+        if (recording())
+            v.detail = strprintf("P%u outstanding-access counter fell to %d",
+                                 p, value);
         raise(std::move(v));
     }
     // "All reserve bits are reset when the counter reads zero" (S5.3):
@@ -237,9 +296,10 @@ void Monitor::counterChanged(ProcId p, int value, Tick now)
         v.kind = ViolationKind::reserve_leak;
         v.tick = now;
         v.proc = p;
-        v.detail = strprintf(
-            "P%u counter reads zero with %u reserve bit(s) still set", p,
-            reserve_bits_[p]);
+        if (recording())
+            v.detail = strprintf(
+                "P%u counter reads zero with %u reserve bit(s) still set",
+                p, reserve_bits_[p]);
         raise(std::move(v));
     }
 }
@@ -254,9 +314,10 @@ void Monitor::reserveSet(ProcId p, Addr addr, Tick now)
         v.tick = now;
         v.proc = p;
         v.addr = addr;
-        v.detail = strprintf(
-            "P%u set a reserve bit on location %u with counter at %d", p,
-            addr, counter_[p]);
+        if (recording())
+            v.detail = strprintf(
+                "P%u set a reserve bit on location %u with counter at %d",
+                p, addr, counter_[p]);
         raise(std::move(v));
     }
 }
@@ -280,7 +341,8 @@ void Monitor::finalize(Tick now, bool completed,
     // A completed run has retired every write, so a still-unexplained
     // read value on a race-free location really came from nowhere (or
     // from an hb-ordered future write): confirm the deferred verdicts.
-    for (LocState &l : locs_) {
+    for (Addr a = 0; a < nlocs_; ++a) {
+        LocState &l = locs_[a];
         if (!l.raced)
             for (MonitorViolation &v : l.pending_stale)
                 raise(std::move(v));

@@ -39,8 +39,6 @@
 #ifndef WO_OBS_MONITOR_HH
 #define WO_OBS_MONITOR_HH
 
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -159,6 +157,14 @@ class Monitor
     Monitor(ProcId nprocs, Addr nlocs, std::vector<Value> initial,
             const MonitorCfg &cfg = {});
 
+    /**
+     * Restore the freshly-constructed state; the arguments mean what
+     * the constructor's do.  Clock, location and execution storage is
+     * kept for reuse.
+     */
+    void reset(ProcId nprocs, Addr nlocs, const std::vector<Value> &initial,
+               const MonitorCfg &cfg);
+
     // ---- hooks (via Obs) ---------------------------------------------
 
     /** One memory operation retired, with full detail. */
@@ -259,8 +265,15 @@ class Monitor
     struct LocState
     {
         std::vector<LastOp> lastw, lastr; //!< per processor
-        std::vector<WriteRec> frontier;   //!< non-dominated writes
-        std::set<Value> written_values;   //!< every value retired here
+        /**
+         * Non-dominated writes: the first frontier_size entries, in
+         * retire order.  Entries past it are dropped records kept so
+         * their clocks' storage is reused.
+         */
+        std::vector<WriteRec> frontier;
+        std::size_t frontier_size = 0;
+        std::vector<Value> written_values; //!< sorted, every value retired
+        VectorClock chan; //!< the location's synchronization channel
         Tick last_write_commit = 0;
         bool raced = false; //!< a race touched this location: the DRF0
                             //!< contract is void here, hardware checks off
@@ -282,11 +295,16 @@ class Monitor
     LocState &loc(Addr a);
     void raise(MonitorViolation v);
 
-    ProcId nprocs_;
+    /** Will the next raised violation be recorded (with its detail)? */
+    bool recording() const { return violations_.size() < cfg_.max_recorded; }
+
+    ProcId nprocs_ = 0;
+    Addr nlocs_ = 0;
     MonitorCfg cfg_;
     Execution exec_;
+    // proc_clock_ and locs_ only ever grow: entries past nprocs_ /
+    // nlocs_ are storage kept for a later reset.
     std::vector<VectorClock> proc_clock_;
-    std::map<Addr, VectorClock> chan_; //!< per-location sync channels
     std::vector<LocState> locs_;
     std::vector<int> counter_;               //!< last seen, per proc
     std::vector<std::uint32_t> reserve_bits_; //!< held bits, per proc

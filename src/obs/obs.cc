@@ -1,5 +1,7 @@
 #include "obs.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "obs/monitor.hh"
 #include "obs/recorder.hh"
@@ -41,22 +43,64 @@ opSideName(OpSide s)
     return "?";
 }
 
-Obs::Obs(ProcId nprocs) : nprocs_(nprocs)
+Obs::Obs(ProcId nprocs)
 {
-    stall_groups_.reserve(nprocs);
+    reset(nprocs);
+}
+
+void
+Obs::reset(ProcId nprocs)
+{
+    nprocs_ = nprocs;
+    trace_enabled_ = false;
+    trace_queue_events_ = false;
+    monitor_ = nullptr;
+    recorder_ = nullptr;
+    sampler_ = nullptr;
+    mirrored_violations_ = 0;
+    while (stall_groups_.size() < nprocs)
+        stall_groups_.emplace_back(
+            strprintf("cpu%zu.stall", stall_groups_.size()));
+    if (live_.size() < nprocs) {
+        live_.resize(nprocs);
+        reserve_held_.resize(nprocs);
+    }
     for (ProcId p = 0; p < nprocs; ++p) {
-        stall_groups_.emplace_back(strprintf("cpu%u.stall", p));
         // Pre-create every bucket plus the summaries so each dump has
         // the full schema and buckets provably sum to the total even
         // when a bucket never fires.
-        StatGroup &g = stall_groups_.back();
+        StatGroup &g = stall_groups_[p];
+        g.clear();
         for (int b = 0; b < num_stall_buckets; ++b)
             g.counter(stallBucketName(static_cast<StallBucket>(b)));
         g.counter("total");
         g.counter("data");
         g.counter("release");
         g.counter("acquire");
+        live_[p].clear();
+        reserve_held_[p].clear();
     }
+    chrome_events_.clear();
+    jsonl_.clear();
+}
+
+std::uint64_t
+Obs::unfinishedOps() const
+{
+    std::uint64_t n = 0;
+    for (ProcId p = 0; p < nprocs_; ++p)
+        n += live_[p].size();
+    return n;
+}
+
+Obs::LiveOp *
+Obs::findLive(ProcId p, std::uint64_t req)
+{
+    wo_assert(p < nprocs_, "operation of unknown cpu %u", p);
+    for (LiveOp &op : live_[p])
+        if (op.req == req)
+            return &op;
+    return nullptr;
 }
 
 void
@@ -185,13 +229,14 @@ void
 Obs::opIssue(ProcId p, std::uint64_t req, const char *kind, Addr addr,
              Pc pc, Tick reached, Tick issued)
 {
-    LiveOp op;
+    wo_assert(p < nprocs_, "operation of unknown cpu %u", p);
+    LiveOp &op = live_[p].emplace_back();
+    op.req = req;
     op.kind = kind;
     op.addr = addr;
     op.pc = pc;
     op.reached = reached;
     op.issued = issued;
-    live_[{p, req}] = std::move(op);
     if (recorder_) {
         FlightEvent e;
         e.kind = FlightKind::issue;
@@ -219,10 +264,9 @@ Obs::opIssue(ProcId p, std::uint64_t req, const char *kind, Addr addr,
 void
 Obs::opCommit(ProcId p, std::uint64_t req, Tick now)
 {
-    auto it = live_.find({p, req});
-    if (it != live_.end()) {
-        it->second.committed = now;
-        it->second.has_committed = true;
+    if (LiveOp *op = findLive(p, req)) {
+        op->committed = now;
+        op->has_committed = true;
     }
     if (recorder_) {
         FlightEvent e;
@@ -245,13 +289,11 @@ Obs::opCommit(ProcId p, std::uint64_t req, Tick now)
 void
 Obs::opPerform(ProcId p, std::uint64_t req, Tick now)
 {
-    auto it = live_.find({p, req});
-    if (it != live_.end()) {
+    if (LiveOp *live = findLive(p, req)) {
         if (trace_enabled_) {
-            const LiveOp &op = it->second;
-            Json ev = completeEvent(
-                strprintf("%s a%u", op.kind.c_str(), op.addr), 2u * p,
-                op.issued, now);
+            const LiveOp &op = *live;
+            Json ev = completeEvent(strprintf("%s a%u", op.kind, op.addr),
+                                    2u * p, op.issued, now);
             Json args = Json::object();
             args.set("req", req);
             args.set("pc", std::uint64_t{op.pc});
@@ -264,9 +306,10 @@ Obs::opPerform(ProcId p, std::uint64_t req, Tick now)
             ev.set("args", std::move(args));
             chrome(std::move(ev));
         }
-        live_.erase(it);
+        // Unordered: the last entry fills the hole.
+        *live = live_[p].back();
+        live_[p].pop_back();
     }
-    facts_.erase({p, req});
     if (recorder_) {
         FlightEvent e;
         e.kind = FlightKind::perform;
@@ -373,19 +416,25 @@ Obs::reserveCleared(ProcId p, Tick now)
 void
 Obs::reqMiss(ProcId p, std::uint64_t req)
 {
-    facts_[{p, req}].missed = true;
+    if (LiveOp *op = findLive(p, req))
+        op->missed = true;
 }
 
 void
 Obs::reqNack(ProcId p, std::uint64_t req)
 {
-    facts_[{p, req}].nacked = true;
+    if (LiveOp *op = findLive(p, req))
+        op->nacked = true;
 }
 
 void
 Obs::reserveHold(ProcId requester, Addr addr)
 {
-    reserve_held_[{requester, addr}] = true;
+    wo_assert(requester < nprocs_, "reserve hold for unknown cpu %u",
+              requester);
+    std::vector<Addr> &held = reserve_held_[requester];
+    if (std::find(held.begin(), held.end(), addr) == held.end())
+        held.push_back(addr);
 }
 
 StallBucket
@@ -401,14 +450,17 @@ Obs::classify(ProcId p, std::uint64_t req, Addr addr, StallPhase phase)
       case StallPhase::commit_wait:
         break;
     }
-    auto f = facts_.find({p, req});
-    auto h = reserve_held_.find({p, addr});
-    const bool held = h != reserve_held_.end();
-    if (held)
-        reserve_held_.erase(h);
-    if ((f != facts_.end() && f->second.nacked) || held)
+    const LiveOp *f = findLive(p, req);
+    std::vector<Addr> &held_lines = reserve_held_[p];
+    auto h = std::find(held_lines.begin(), held_lines.end(), addr);
+    const bool held = h != held_lines.end();
+    if (held) {
+        *h = held_lines.back();
+        held_lines.pop_back();
+    }
+    if ((f && f->nacked) || held)
         return StallBucket::reserve_wait;
-    if (f != facts_.end() && f->second.missed)
+    if (f && f->missed)
         return StallBucket::cache_miss;
     return StallBucket::hit_latency;
 }
@@ -419,7 +471,7 @@ Obs::stall(ProcId p, std::uint64_t req, Addr addr, StallPhase phase,
 {
     if (to <= from)
         return;
-    wo_assert(p < stall_groups_.size(), "stall for unknown cpu %u", p);
+    wo_assert(p < nprocs_, "stall for unknown cpu %u", p);
     const StallBucket bucket = classify(p, req, addr, phase);
     const Tick cycles = to - from;
     StatGroup &g = stall_groups_[p];
@@ -464,7 +516,7 @@ Obs::stall(ProcId p, std::uint64_t req, Addr addr, StallPhase phase,
 const StatGroup &
 Obs::stallStats(ProcId p) const
 {
-    wo_assert(p < stall_groups_.size(), "no stall stats for cpu %u", p);
+    wo_assert(p < nprocs_, "no stall stats for cpu %u", p);
     return stall_groups_[p];
 }
 
@@ -472,9 +524,9 @@ std::vector<const StatGroup *>
 Obs::stallGroups() const
 {
     std::vector<const StatGroup *> out;
-    out.reserve(stall_groups_.size());
-    for (const auto &g : stall_groups_)
-        out.push_back(&g);
+    out.reserve(nprocs_);
+    for (ProcId p = 0; p < nprocs_; ++p)
+        out.push_back(&stall_groups_[p]);
     return out;
 }
 
@@ -513,7 +565,7 @@ Obs::chromeTraceJson() const
     root.set("displayTimeUnit", "ns");
     Json other = Json::object();
     other.set("source", "wotool");
-    other.set("unfinished_ops", std::uint64_t{live_.size()});
+    other.set("unfinished_ops", unfinishedOps());
     root.set("otherData", std::move(other));
     return root.dump(1);
 }

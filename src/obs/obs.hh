@@ -37,7 +37,6 @@
 #ifndef WO_OBS_OBS_HH
 #define WO_OBS_OBS_HH
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -105,6 +104,13 @@ class Obs
   public:
     /** @param nprocs processor count (sizes the per-CPU stall groups) */
     explicit Obs(ProcId nprocs);
+
+    /**
+     * Restore the freshly-constructed state for @p nprocs processors:
+     * tracing off, nothing attached, stall groups zeroed, no live
+     * operation.  Storage is kept for reuse.
+     */
+    void reset(ProcId nprocs);
 
     /**
      * Turn the structured trace on.
@@ -230,25 +236,29 @@ class Obs
     std::string traceJsonl() const;
 
     /** Operations issued but never globally performed (so far). */
-    std::uint64_t unfinishedOps() const { return live_.size(); }
+    std::uint64_t unfinishedOps() const;
 
   private:
+    /**
+     * An issued operation not yet globally performed, with the
+     * miss/NACK facts the stall classifier needs for it.
+     */
     struct LiveOp
     {
-        std::string kind;
+        std::uint64_t req = 0;
+        const char *kind = ""; //!< accessKindName: static storage
         Addr addr = invalid_addr;
         Pc pc = 0;
         Tick reached = 0;
         Tick issued = 0;
         Tick committed = 0;
         bool has_committed = false;
-    };
-
-    struct ReqFacts
-    {
         bool missed = false;
         bool nacked = false;
     };
+
+    /** Processor @p p's live operation @p req, or nullptr. */
+    LiveOp *findLive(ProcId p, std::uint64_t req);
 
     /** Append one JSONL record (tracing only). */
     void raw(Json line);
@@ -274,14 +284,15 @@ class Obs
     const Sampler *sampler_ = nullptr;
     std::uint64_t mirrored_violations_ = 0;
 
-    std::vector<StatGroup> stall_groups_; //!< one per processor
-    std::map<std::pair<ProcId, std::uint64_t>, ReqFacts> facts_;
-    std::map<std::pair<ProcId, Addr>, bool> reserve_held_;
-    std::map<std::pair<ProcId, std::uint64_t>, LiveOp> live_;
+    // Per-processor state, indexed by ProcId.  The vectors only ever
+    // grow: entries past nprocs_ are storage kept for a later reset.
+    std::vector<StatGroup> stall_groups_;
+    std::vector<std::vector<LiveOp>> live_; //!< unordered
+    /** Lines whose owner holds this processor's forwarded request. */
+    std::vector<std::vector<Addr>> reserve_held_;
 
     std::vector<Json> chrome_events_;
     std::vector<std::string> jsonl_;
-    std::uint64_t dropped_ops_ = 0; //!< ops never performed by sim end
 };
 
 } // namespace wo

@@ -236,11 +236,13 @@ splitKey(const std::string &key, std::string &program,
 std::string
 statTiles(const Data &d)
 {
-    std::uint64_t ran = 0, skipped = 0, clean = 0, hw_cells = 0;
+    std::uint64_t ran = 0, skipped = 0, duplicate = 0, clean = 0,
+                  hw_cells = 0;
     double cps = 0, p50 = 0, p99 = 0;
     if (d.summary.isObject()) {
         ran = uintAt(d.summary, "ran");
         skipped = uintAt(d.summary, "skipped");
+        duplicate = uintAt(d.summary, "duplicate");
         clean = uintAt(d.summary, "clean");
         hw_cells = uintAt(d.summary, "hw");
         cps = numberAt(d.summary, "cells_per_sec");
@@ -277,6 +279,10 @@ statTiles(const Data &d)
         tile(strprintf("%llu",
                        static_cast<unsigned long long>(skipped)),
              "resumed");
+    if (duplicate > 0)
+        tile(strprintf("%llu",
+                       static_cast<unsigned long long>(duplicate)),
+             "duplicate");
     tile(strprintf("%llu", static_cast<unsigned long long>(clean)),
          "clean");
     tile(strprintf("%zu", d.failures.size()), "unique failures",

@@ -64,7 +64,7 @@ class Program
     void setInitial(Addr a, Value v);
 
     /** Initial memory image, indexed by address. */
-    std::vector<Value> initialMemory() const { return initials_; }
+    const std::vector<Value> &initialMemory() const { return initials_; }
 
     /** Give location @p a a name for pretty-printing (e.g. "x"). */
     void nameLocation(Addr a, std::string name);

@@ -31,19 +31,60 @@ sideOf(AccessKind k)
 
 Cpu::Cpu(ProcId id, const Program &prog, EventQueue &eq,
          OrderingPolicy policy, Execution *exec, const CpuCfg &cfg)
-    : id_(id), prog_(prog), code_(prog.thread(id)), eq_(eq),
-      policy_(policy), exec_(exec), cfg_(cfg),
-      stats_(strprintf("cpu%u", id))
+    : id_(id), eq_(eq), exec_(exec), stats_(strprintf("cpu%u", id))
 {
+    reset(prog, policy, cfg);
+}
+
+void
+Cpu::reset(const Program &prog, OrderingPolicy policy, const CpuCfg &cfg)
+{
+    code_ = &prog.thread(id_);
+    policy_ = policy;
+    cfg_ = cfg;
+    pc_ = 0;
+    regs_ = {};
+    halted_ = false;
+    finish_tick_ = 0;
+    step_scheduled_ = false;
+    waiting_issue_ = false;
+    issue_wait_mlp_ = false;
+    wait_started_ = 0;
+    blocked_on_ = 0;
+    blocked_ = false;
+    block_started_ = 0;
+    next_req_ = 1;
+    pending_.clear();
+    pending_base_ = 1;
+    next_retire_ = 1;
+    outstanding_ = 0;
+    timings_.clear();
+    stats_.clear();
+}
+
+Cpu::Pending *
+Cpu::findPending(std::uint64_t id)
+{
+    if (id < pending_base_ || id - pending_base_ >= pending_.size())
+        return nullptr;
+    Pending &p = pending_[id - pending_base_];
+    return p.done ? nullptr : &p;
+}
+
+void
+Cpu::dropPending(Pending &p)
+{
+    p.done = true;
+    while (!pending_.empty() && pending_.front().done) {
+        pending_.pop_front();
+        ++pending_base_;
+    }
 }
 
 int
 Cpu::countOutstanding() const
 {
-    int n = 0;
-    for (const auto &kv : pending_)
-        n += !kv.second.performed;
-    return n;
+    return outstanding_;
 }
 
 void
@@ -68,10 +109,7 @@ Cpu::wake(Tick delay)
 bool
 Cpu::anyOutstanding() const
 {
-    for (const auto &kv : pending_)
-        if (!kv.second.performed)
-            return true;
-    return false;
+    return outstanding_ > 0;
 }
 
 bool
@@ -134,7 +172,7 @@ Cpu::step()
         return;
     if (blocked_)
         return; // a callback will wake us
-    const Instruction &i = code_.at(pc_);
+    const Instruction &i = code_->at(pc_);
     switch (i.op) {
       case Opcode::mov_imm:
         regs_[i.dst] = i.imm;
@@ -231,8 +269,8 @@ Cpu::step()
     p.blocks_pipeline = wait_commit;
     p.wait_performed = wait_perf;
 
-    retire_queue_.push_back(req.id);
-    pending_.emplace(req.id, p);
+    pending_.push_back(p);
+    ++outstanding_;
     if (Obs *obs = eq_.obs())
         obs->opIssue(id_, req.id, accessKindName(p.kind), i.addr, pc_,
                      reached, eq_.now());
@@ -251,33 +289,34 @@ Cpu::step()
 void
 Cpu::retire()
 {
-    while (retire_pos_ < retire_queue_.size()) {
-        auto it = pending_.find(retire_queue_[retire_pos_]);
-        wo_assert(it != pending_.end(), "retire queue out of sync");
-        Pending &p = it->second;
-        if (!p.committed)
+    while (next_retire_ < next_req_) {
+        const std::uint64_t id = next_retire_;
+        Pending *p = findPending(id);
+        wo_assert(p, "retire window out of sync");
+        if (!p->committed)
             return;
         if (exec_) {
-            exec_->append(id_, p.addr, p.kind, p.has_read ? p.rvalue : 0,
-                          p.wvalue, timings_[p.timing_idx].committed);
+            exec_->append(id_, p->addr, p->kind,
+                          p->has_read ? p->rvalue : 0, p->wvalue,
+                          timings_[p->timing_idx].committed);
         }
         if (Obs *obs = eq_.obs())
-            obs->opRetire(id_, it->first, eq_.now(), p.addr, p.kind,
-                          p.has_read ? p.rvalue : 0, p.wvalue,
-                          timings_[p.timing_idx].committed);
-        p.retired = true;
-        ++retire_pos_;
-        if (p.performed)
-            pending_.erase(it);
+            obs->opRetire(id_, id, eq_.now(), p->addr, p->kind,
+                          p->has_read ? p->rvalue : 0, p->wvalue,
+                          timings_[p->timing_idx].committed);
+        p->retired = true;
+        ++next_retire_;
+        if (p->performed)
+            dropPending(*p);
     }
 }
 
 void
 Cpu::onCommit(std::uint64_t id, Value read_value)
 {
-    auto it = pending_.find(id);
-    wo_assert(it != pending_.end(), "commit for unknown request");
-    Pending &p = it->second;
+    Pending *pp = findPending(id);
+    wo_assert(pp, "commit for unknown request");
+    Pending &p = *pp;
     wo_assert(!p.committed, "double commit for request");
     p.committed = true;
     p.rvalue = read_value;
@@ -306,11 +345,12 @@ Cpu::onCommit(std::uint64_t id, Value read_value)
 void
 Cpu::onGloballyPerformed(std::uint64_t id)
 {
-    auto it = pending_.find(id);
-    wo_assert(it != pending_.end(), "perform for unknown request");
-    Pending &p = it->second;
+    Pending *pp = findPending(id);
+    wo_assert(pp, "perform for unknown request");
+    Pending &p = *pp;
     wo_assert(!p.performed, "double perform for request");
     p.performed = true;
+    --outstanding_;
     timings_[p.timing_idx].performed = eq_.now();
     if (blocked_ && blocked_on_ == id && p.wait_performed) {
         blocked_ = false;
@@ -345,12 +385,9 @@ Cpu::onGloballyPerformed(std::uint64_t id)
 void
 Cpu::cleanup(std::uint64_t id)
 {
-    auto it = pending_.find(id);
-    if (it == pending_.end())
-        return;
-    const Pending &p = it->second;
-    if (p.committed && p.performed && p.retired)
-        pending_.erase(it);
+    Pending *p = findPending(id);
+    if (p && p->committed && p->performed && p->retired)
+        dropPending(*p);
 }
 
 } // namespace wo

@@ -15,10 +15,10 @@
 #ifndef WO_SYS_CPU_HH
 #define WO_SYS_CPU_HH
 
-#include <map>
 #include <vector>
 
 #include "coherence/cache.hh"
+#include "common/fifo.hh"
 #include "common/stats.hh"
 #include "event/event_queue.hh"
 #include "execution/execution.hh"
@@ -67,6 +67,15 @@ class Cpu : public CacheClient
     Cpu(ProcId id, const Program &prog, EventQueue &eq,
         OrderingPolicy policy, Execution *exec, const CpuCfg &cfg = {});
 
+    /**
+     * Restore the freshly-constructed state for running thread id() of
+     * @p prog (which must outlive the run): pc 0, zeroed registers, no
+     * request in flight, statistics cleared.  Storage is kept for
+     * reuse.
+     */
+    void reset(const Program &prog, OrderingPolicy policy,
+               const CpuCfg &cfg);
+
     /** Late-bind the cache (construction order). */
     void attachCache(Cache *cache) { cache_ = cache; }
 
@@ -113,6 +122,7 @@ class Cpu : public CacheClient
         Addr addr = invalid_addr;
         Value wvalue = 0;
         Value rvalue = 0;
+        bool done = false; //!< committed, performed and retired
     };
 
     /** Main sequencing step: try to execute the instruction at pc. */
@@ -140,9 +150,17 @@ class Cpu : public CacheClient
     /** Drop a request once committed, performed and retired. */
     void cleanup(std::uint64_t id);
 
+    /** The in-flight request @p id, or nullptr once dropped. */
+    Pending *findPending(std::uint64_t id);
+
+    /**
+     * Drop @p p and slide the window past every dropped request at its
+     * front (which may move the remaining ones: re-find after this).
+     */
+    void dropPending(Pending &p);
+
     ProcId id_;
-    const Program &prog_;
-    const ThreadCode &code_;
+    const ThreadCode *code_ = nullptr;
     EventQueue &eq_;
     OrderingPolicy policy_;
     Execution *exec_;
@@ -162,11 +180,13 @@ class Cpu : public CacheClient
     Tick block_started_ = 0;
 
     std::uint64_t next_req_ = 1;
-    std::map<std::uint64_t, Pending> pending_;
-    // Retirement: program-order list of request ids; retire_pos_ is the
-    // first not-yet-retired entry.
-    std::vector<std::uint64_t> retire_queue_;
-    std::size_t retire_pos_ = 0;
+    // Request ids are handed out in program order, so the requests
+    // still tracked form a window [pending_base_, next_req_) that
+    // slides forward as the oldest are dropped.
+    Fifo<Pending> pending_;
+    std::uint64_t pending_base_ = 1;
+    std::uint64_t next_retire_ = 1; //!< first request not yet retired
+    int outstanding_ = 0;           //!< issued, not globally performed
     std::vector<OpTiming> timings_;
     StatGroup stats_;
 };

@@ -35,25 +35,46 @@ SystemResult::stall_stat_total(const std::string &name) const
 }
 
 System::System(const Program &prog, const SystemCfg &cfg)
-    : prog_(prog), cfg_(cfg), eq_(cfg.queue)
+    : eq_(cfg.queue)
 {
-    const ProcId procs = prog.numThreads();
-    const NodeId dir_id = procs;
+    reset(prog, cfg);
+}
+
+void
+System::reset(const Program &prog, const SystemCfg &cfg)
+{
+    prog_ = &prog;
+    cfg_ = cfg;
+    procs_ = prog.numThreads();
+    evidence_dumped_ = false;
+    const NodeId dir_id = procs_;
+    const Addr nlocs = prog.numLocations();
     cfg_.cache.sync_reads_as_reads =
         cfg_.policy == OrderingPolicy::wo_drf0_ro;
 
-    obs_ = std::make_unique<Obs>(procs);
+    // Pending events capture component pointers: drop them first.
+    eq_.reset(cfg_.queue);
+    if (obs_)
+        obs_->reset(procs_);
+    else
+        obs_ = std::make_unique<Obs>(procs_);
     if (cfg_.trace)
         obs_->enableTrace(cfg_.trace_queue_events);
+    monitor_ = nullptr;
     if (cfg_.monitor) {
         MonitorCfg mc;
         mc.flavor = cfg_.policy == OrderingPolicy::wo_drf0_ro
                         ? HbRelation::SyncFlavor::weak_sync_read
                         : HbRelation::SyncFlavor::drf0;
-        monitor_ = std::make_unique<Monitor>(procs, prog.numLocations(),
-                                             prog.initialMemory(), mc);
-        obs_->attachMonitor(monitor_.get());
+        if (monitor_store_)
+            monitor_store_->reset(procs_, nlocs, prog.initialMemory(), mc);
+        else
+            monitor_store_ = std::make_unique<Monitor>(
+                procs_, nlocs, prog.initialMemory(), mc);
+        monitor_ = monitor_store_.get();
+        obs_->attachMonitor(monitor_);
     }
+    recorder_.reset();
     if (cfg_.flight_recorder) {
         recorder_ =
             std::make_unique<FlightRecorder>(cfg_.flight_recorder_capacity);
@@ -61,25 +82,40 @@ System::System(const Program &prog, const SystemCfg &cfg)
     }
     eq_.setObs(obs_.get());
 
-    net_ = std::make_unique<Network>(eq_, cfg_.net);
-    dir_ = std::make_unique<Directory>(dir_id, *net_,
-                                       prog.initialMemory(), cfg_.dir);
+    if (net_)
+        net_->reset(cfg_.net);
+    else
+        net_ = std::make_unique<Network>(eq_, cfg_.net);
+    if (dir_)
+        dir_->reset(dir_id, prog.initialMemory(), cfg_.dir);
+    else
+        dir_ = std::make_unique<Directory>(dir_id, *net_,
+                                           prog.initialMemory(), cfg_.dir);
     net_->attach(dir_id, dir_.get());
-    exec_ = std::make_unique<Execution>(procs, prog.numLocations(),
-                                        prog.initialMemory());
-    for (ProcId p = 0; p < procs; ++p) {
-        cpus_.push_back(std::make_unique<Cpu>(p, prog, eq_, cfg_.policy,
-                                              exec_.get(), cfg_.cpu));
-        caches_.push_back(std::make_unique<Cache>(
-            p, dir_id, procs, eq_, *net_, cpus_.back().get(),
-            prog.numLocations(), cfg_.cache));
-        cpus_.back()->attachCache(caches_.back().get());
-        net_->attach(p, caches_.back().get());
+    if (exec_)
+        exec_->reset(procs_, nlocs, prog.initialMemory());
+    else
+        exec_ = std::make_unique<Execution>(procs_, nlocs,
+                                            prog.initialMemory());
+    for (ProcId p = 0; p < procs_; ++p) {
+        if (p < cpus_.size()) {
+            cpus_[p]->reset(prog, cfg_.policy, cfg_.cpu);
+            caches_[p]->reset(dir_id, nlocs, cfg_.cache);
+        } else {
+            cpus_.push_back(std::make_unique<Cpu>(
+                p, prog, eq_, cfg_.policy, exec_.get(), cfg_.cpu));
+            caches_.push_back(std::make_unique<Cache>(
+                p, dir_id, procs_, eq_, *net_, cpus_.back().get(), nlocs,
+                cfg_.cache));
+            cpus_.back()->attachCache(caches_.back().get());
+        }
+        net_->attach(p, caches_[p].get());
     }
 
+    sampler_.reset();
     if (cfg_.sample_interval > 0) {
         sampler_ = std::make_unique<Sampler>(cfg_.sample_interval);
-        for (ProcId p = 0; p < procs; ++p) {
+        for (ProcId p = 0; p < procs_; ++p) {
             sampler_->addProbe(
                 strprintf("cpu%u.outstanding", p),
                 [c = caches_[p].get()]() -> std::uint64_t {
@@ -114,11 +150,27 @@ System::System(const Program &prog, const SystemCfg &cfg)
 
 System::~System() = default;
 
+Cache &
+System::cache(ProcId p)
+{
+    wo_assert(p < procs_, "no cache %u in a %u-processor machine", p,
+              procs_);
+    return *caches_[p];
+}
+
+Cpu &
+System::cpu(ProcId p)
+{
+    wo_assert(p < procs_, "no cpu %u in a %u-processor machine", p,
+              procs_);
+    return *cpus_[p];
+}
+
 void
 System::warmShared(Addr addr, const std::vector<ProcId> &procs)
 {
     for (ProcId p : procs) {
-        caches_[p]->warmShared(addr, prog_.initialValue(addr));
+        cache(p).warmShared(addr, prog_->initialValue(addr));
         dir_->warmSharer(addr, p);
     }
 }
@@ -126,8 +178,8 @@ System::warmShared(Addr addr, const std::vector<ProcId> &procs)
 std::vector<Value>
 System::finalMemory() const
 {
-    std::vector<Value> mem(prog_.numLocations());
-    for (Addr a = 0; a < prog_.numLocations(); ++a) {
+    std::vector<Value> mem(prog_->numLocations());
+    for (Addr a = 0; a < prog_->numLocations(); ++a) {
         const NodeId owner = dir_->ownerOf(a);
         if (owner != invalid_proc && caches_[owner]->holdsModified(a))
             mem[a] = caches_[owner]->lineValue(a);
@@ -148,8 +200,7 @@ System::dumpEvidence(const char *why)
         inform("dumping failure evidence (%s) to %s.*", why,
                prefix.c_str());
     const std::string trace =
-        recorder_ ? recorder_->chromeTraceJson(
-                        static_cast<ProcId>(cpus_.size()))
+        recorder_ ? recorder_->chromeTraceJson(procs_)
                   : obs_->chromeTraceJson();
     writeFile(prefix + ".trace.json", trace);
     if (monitor_) {
@@ -189,8 +240,8 @@ System::run()
         }
     }
 
-    for (auto &cpu : cpus_)
-        cpu->boot();
+    for (ProcId p = 0; p < procs_; ++p)
+        cpus_[p]->boot();
     if (sampler_)
         sampler_->start(eq_);
 
@@ -205,7 +256,7 @@ System::run()
             // what it has mostly been waiting on.
             std::string snap;
             Tick finish_so_far = 0;
-            for (ProcId p = 0; p < cpus_.size(); ++p) {
+            for (ProcId p = 0; p < procs_; ++p) {
                 finish_so_far =
                     std::max(finish_so_far, cpus_[p]->finishTick());
                 const auto &m = obs_->stallStats(p).counters();
@@ -230,7 +281,7 @@ System::run()
                  "running '%s' (%s); finish tick so far %llu;%s",
                  static_cast<unsigned long long>(events),
                  static_cast<unsigned long long>(eq_.now()),
-                 prog_.name().c_str(), policyName(cfg_.policy),
+                 prog_->name().c_str(), policyName(cfg_.policy),
                  static_cast<unsigned long long>(finish_so_far),
                  snap.c_str());
             break;
@@ -245,9 +296,9 @@ System::run()
 
     bool all_halted = true;
     Tick finish = 0;
-    for (auto &cpu : cpus_) {
-        all_halted = all_halted && cpu->halted();
-        finish = std::max(finish, cpu->finishTick());
+    for (ProcId p = 0; p < procs_; ++p) {
+        all_halted = all_halted && cpus_[p]->halted();
+        finish = std::max(finish, cpus_[p]->finishTick());
     }
     r.completed = all_halted && !r.livelocked;
     r.deadlocked = !all_halted && !r.livelocked;
@@ -271,10 +322,10 @@ System::run()
     else if (monitor_ && monitor_->hardwareViolations() > 0)
         dumpEvidence("monitor violation");
 
-    r.outcome.regs.reserve(cpus_.size());
-    for (auto &cpu : cpus_)
-        r.outcome.regs.emplace_back(cpu->regs().begin(),
-                                    cpu->regs().end());
+    r.outcome.regs.reserve(procs_);
+    for (ProcId p = 0; p < procs_; ++p)
+        r.outcome.regs.emplace_back(cpus_[p]->regs().begin(),
+                                    cpus_[p]->regs().end());
     r.outcome.memory = finalMemory();
 
     // Stop sampling before result assembly so the profile describes the
@@ -289,17 +340,18 @@ System::run()
         return r;
 
     r.execution = *exec_;
-    for (auto &cpu : cpus_)
-        r.timings.push_back(cpu->timings());
+    for (ProcId p = 0; p < procs_; ++p)
+        r.timings.push_back(cpus_[p]->timings());
 
-    for (auto &cpu : cpus_) {
-        r.stats += cpu->stats().dump();
+    for (ProcId p = 0; p < procs_; ++p) {
+        const StatGroup &g = cpus_[p]->stats();
+        r.stats += g.dump();
         std::map<std::string, std::uint64_t> counters;
-        for (const auto &kv : cpu->stats().counters())
+        for (const auto &kv : g.counters())
             counters[kv.first] = kv.second.value();
         r.cpu_counters.push_back(std::move(counters));
     }
-    for (ProcId p = 0; p < cpus_.size(); ++p) {
+    for (ProcId p = 0; p < procs_; ++p) {
         const StatGroup &g = obs_->stallStats(p);
         r.stats += g.dump();
         std::map<std::string, std::uint64_t> counters;
@@ -307,15 +359,15 @@ System::run()
             counters[kv.first] = kv.second.value();
         r.stall_counters.push_back(std::move(counters));
     }
-    for (auto &cache : caches_)
-        r.stats += cache->stats().dump();
+    for (ProcId p = 0; p < procs_; ++p)
+        r.stats += caches_[p]->stats().dump();
     r.stats += dir_->stats().dump();
     r.stats += net_->stats().dump();
 
     // The unified machine-readable view: run metadata plus every
     // component group mounted in one hierarchical namespace.
     MetricsRegistry reg;
-    reg.set("run.program", Json(prog_.name()));
+    reg.set("run.program", Json(prog_->name()));
     reg.set("run.policy", Json(policyName(cfg_.policy)));
     reg.set("run.completed", Json(r.completed));
     reg.set("run.deadlocked", Json(r.deadlocked));
@@ -323,11 +375,11 @@ System::run()
     reg.set("run.finish_tick", Json(r.finish_tick));
     reg.set("run.drain_tick", Json(r.drain_tick));
     reg.set("run.events", Json(eq_.executed()));
-    for (ProcId p = 0; p < cpus_.size(); ++p) {
+    for (ProcId p = 0; p < procs_; ++p) {
         reg.addGroup(strprintf("cpu%u", p), cpus_[p]->stats());
         reg.addGroup(strprintf("cpu%u.stall", p), obs_->stallStats(p));
     }
-    for (ProcId p = 0; p < caches_.size(); ++p)
+    for (ProcId p = 0; p < procs_; ++p)
         reg.addGroup(strprintf("cache%u", p), caches_[p]->stats());
     reg.addGroup("dir", dir_->stats());
     reg.addGroup("net", net_->stats());

@@ -105,7 +105,7 @@ struct SystemResult
     bool livelocked = false; //!< event budget exhausted
     Tick finish_tick = 0;    //!< time the last processor halted
     Tick drain_tick = 0;     //!< time the system fully quiesced
-    Execution execution{1, 1}; //!< retired operations, program order/proc
+    Execution execution{0, 0}; //!< retired operations, program order/proc
     Outcome outcome;         //!< final registers + final memory
     OrderingPolicy policy = OrderingPolicy::wo_drf0; //!< policy that ran
     bool weak_sync_read_policy = false; //!< Section-6 refinement active
@@ -149,6 +149,19 @@ class System
     System(const Program &prog, const SystemCfg &cfg);
     ~System();
 
+    /**
+     * Make this machine the one System(prog, cfg) would build: every
+     * component (event queue, network, directory, caches, CPUs,
+     * execution, observability hub, monitor) returns to its
+     * freshly-constructed state -- time, event sequence numbers,
+     * request ids, the jitter RNG seed and all statistics included --
+     * so a run after reset() is bit-identical to a run on a new
+     * machine.  Containers keep their capacity, so a machine reused
+     * across similar cells stops allocating.  The constructor does its
+     * work through this call.  @p prog must outlive the next run.
+     */
+    void reset(const Program &prog, const SystemCfg &cfg);
+
     /** Run to completion (or deadlock/livelock) and collect results. */
     SystemResult run();
 
@@ -160,16 +173,16 @@ class System
     void warmShared(Addr addr, const std::vector<ProcId> &procs);
 
     /** Component access for white-box tests. */
-    Cache &cache(ProcId p) { return *caches_[p]; }
+    Cache &cache(ProcId p);
     Directory &directory() { return *dir_; }
-    Cpu &cpu(ProcId p) { return *cpus_[p]; }
+    Cpu &cpu(ProcId p);
     EventQueue &eventQueue() { return eq_; }
 
     /** The observability hub (trace export, stall attribution). */
     const Obs &obs() const { return *obs_; }
 
     /** The online monitor, or nullptr when cfg.monitor is off. */
-    const Monitor *monitor() const { return monitor_.get(); }
+    const Monitor *monitor() const { return monitor_; }
 
     /** The flight recorder, or nullptr when cfg.flight_recorder is off. */
     const FlightRecorder *recorder() const { return recorder_.get(); }
@@ -187,16 +200,20 @@ class System
      */
     void dumpEvidence(const char *why);
 
-    const Program &prog_;
+    const Program *prog_ = nullptr;
     SystemCfg cfg_;
+    ProcId procs_ = 0; //!< processors of the current program
     EventQueue eq_;
     std::unique_ptr<Obs> obs_;
-    std::unique_ptr<Monitor> monitor_;
+    Monitor *monitor_ = nullptr; //!< monitor_store_ when cfg.monitor
+    std::unique_ptr<Monitor> monitor_store_;
     std::unique_ptr<FlightRecorder> recorder_;
     std::unique_ptr<Sampler> sampler_;
     bool evidence_dumped_ = false;
     std::unique_ptr<Network> net_;
     std::unique_ptr<Directory> dir_;
+    // One cache/cpu pair per processor.  The pools only grow: pairs
+    // past procs_ sit idle until a program with more threads runs.
     std::vector<std::unique_ptr<Cache>> caches_;
     std::vector<std::unique_ptr<Cpu>> cpus_;
     std::unique_ptr<Execution> exec_;

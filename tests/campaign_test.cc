@@ -403,6 +403,81 @@ TEST(Journal, GroupCommitIsDurableAfterClose)
         EXPECT_TRUE(j2.done("g" + std::to_string(i))) << i;
 }
 
+TEST(Journal, DirectCellLineMatchesTheJsonTree)
+{
+    // appendCell formats its line without a Json tree; every optional
+    // member, every verdict and awkward key bytes must come out exactly
+    // as cellResultToJson(r) + "type":"cell" dumps them.
+    std::vector<CellResult> rs;
+    CellResult run;
+    run.key = "litmus:iriw|drf0|n7|h4|j2";
+    run.completed = true;
+    run.races = 2;
+    run.total = 2;
+    run.outcome_sig = "00ff00ff00ff00ff";
+    run.finish_tick = 1234;
+    run.wall_ms = 0.056789012345678901;
+    run.mat_us = 7;
+    run.run_us = 56;
+    rs.push_back(run);
+
+    CellResult fail = run;
+    fail.key = "drf0:p2r1l2v1s2o2q1t1w0g42|drf0ro|n1|h3|j0|BUG";
+    fail.hw = 3;
+    fail.total = 5;
+    fail.primary_kind = "counter_undrained";
+    fail.livelocked = true;
+    fail.shrink_us = 98765;
+    rs.push_back(fail);
+
+    CellResult verify;
+    verify.key = "verify:litmus:mp|sc";
+    verify.completed = true;
+    verify.inconclusive = true;
+    verify.dpor_states = 200001;
+    verify.bfs_states = 12;
+    verify.dpor_probes = 3;
+    verify.dpor_memo_hits = 1;
+    verify.wall_ms = 12.5;
+    rs.push_back(verify);
+
+    CellResult nonsc = verify;
+    nonsc.inconclusive = false;
+    nonsc.nonsc = true;
+    nonsc.hw = 1;
+    nonsc.primary_kind = "";
+    rs.push_back(nonsc);
+
+    CellResult odd;
+    odd.key = std::string("q\"uote\\back\x01\x1f\n\t\r\b\f|\x7f");
+    odd.primary_kind = "materialize_error";
+    odd.wall_ms = 1e300 * 1e300; // not finite: rendered as null
+    rs.push_back(odd);
+
+    CellResult dead;
+    dead.key = "file:programs/a_b.wo|sc|n2|h5|j1";
+    dead.deadlocked = true;
+    dead.wall_ms = 3.0;
+    rs.push_back(dead);
+
+    const std::string path = testing::TempDir() + "journal_direct.jsonl";
+    std::remove(path.c_str());
+    Journal j(path);
+    ASSERT_TRUE(j.open(/*fresh=*/true));
+    std::string expected;
+    for (const CellResult &r : rs) {
+        std::string direct;
+        appendCellResultJson(direct, r);
+        EXPECT_EQ(direct, cellResultToJson(r).dump()) << r.key;
+        j.appendCell(r);
+        Json line = cellResultToJson(r);
+        line.set("type", Json("cell"));
+        expected += line.dump() + "\n";
+    }
+    j.close();
+    EXPECT_EQ(slurp(path), expected);
+}
+
 TEST(Journal, HeaderStampsSchemaVersionAndHwThreads)
 {
     const std::string path = testing::TempDir() + "journal_schema.jsonl";
@@ -603,6 +678,44 @@ TEST(Campaign, ResumeSkipsJournaledCells)
     EXPECT_GT(second.skipped, 0u);
 }
 
+TEST(Campaign, DuplicateKeysAreCountedApartFromResumedCells)
+{
+    // A verify base stream repeats its deterministic programs after one
+    // lap of the corpus, so a fresh run meets keys it already ran:
+    // those are duplicates, not resumed cells.  Only --resume skips
+    // count as resumed.
+    CampaignCfg cfg;
+    cfg.jobs = 1;
+    cfg.cells = 40;
+    cfg.out_dir = testing::TempDir() + "camp_dup";
+    cfg.seed = 71;
+    cfg.frontier = false;
+    cfg.verify = true;
+    cfg.verify_models = {"sc"};
+    cfg.max_states = 500;
+    const CampaignSummary first = runCampaign(cfg);
+    EXPECT_EQ(first.skipped, 0u);
+    EXPECT_GT(first.duplicate, 0u);
+    EXPECT_EQ(first.ran + first.duplicate, cfg.cells);
+    EXPECT_NE(first.table().find(
+                  "(" + std::to_string(first.ran) + " run, 0 resumed, " +
+                  std::to_string(first.duplicate) + " duplicate)"),
+              std::string::npos)
+        << first.table();
+    const Json sj = first.toJson();
+    ASSERT_NE(sj.find("duplicate"), nullptr);
+    EXPECT_EQ(sj.find("duplicate")->uintValue(), first.duplicate);
+    EXPECT_EQ(sj.find("skipped")->uintValue(), 0u);
+
+    // Resumed counts every cell whose key the replayed journal holds,
+    // repeats of the stream included.
+    cfg.resume = true;
+    const CampaignSummary second = runCampaign(cfg);
+    EXPECT_EQ(second.ran, 0u);
+    EXPECT_EQ(second.skipped, cfg.cells);
+    EXPECT_EQ(second.duplicate, 0u);
+}
+
 TEST(Campaign, MidBatchTruncationResumesExactlyTheCommittedCells)
 {
     // A crash between group commits tears the journal inside a batch.
@@ -784,14 +897,16 @@ TEST(Campaign, SummaryJsonCarriesTheVerdictCounts)
 
 TEST(CampaignTimeline, LanesDecomposeEachWorkersWallClock)
 {
+    // Enough cells that the second worker is up and running cells
+    // before the first has drained the budget alone.
     CampaignCfg cfg;
     cfg.jobs = 2;
-    cfg.cells = 40;
+    cfg.cells = 400;
     cfg.out_dir = testing::TempDir() + "camp_lanes";
     cfg.max_events = 200'000;
     cfg.seed = 11;
     auto sum = runCampaign(cfg);
-    ASSERT_EQ(sum.ran, 40u);
+    ASSERT_EQ(sum.ran + sum.duplicate, 400u);
 
     // Lanes are stable: the jobs workers in order, then the writer.
     ASSERT_EQ(sum.lanes.size(), 3u);

@@ -8,9 +8,11 @@
  * resumes from its merged journal re-leasing only uncommitted cells.
  */
 
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -370,6 +372,54 @@ TEST(Fleet, VerdictParityWithSingleProcess)
             ".wo";
         EXPECT_FALSE(slurp(path).empty()) << path;
     }
+}
+
+/**
+ * Start and tear down coordinators back to back while clients dial in
+ * and another thread churns file descriptors.  Teardown joins the
+ * acceptor before it closes the listener, so accept() never races the
+ * close (or a recycled descriptor number); clean under TSan.
+ */
+TEST(Fleet, CoordinatorStartStopCycles)
+{
+    std::atomic<bool> churning{true};
+    std::thread churn([&] {
+        while (churning.load(std::memory_order_relaxed)) {
+            const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+            if (fd >= 0)
+                ::close(fd);
+        }
+    });
+    for (int i = 0; i < 12; ++i) {
+        CoordinatorCfg ccfg;
+        ccfg.out_dir = freshDir("fleet_cycles");
+        Coordinator coord(ccfg);
+        ASSERT_TRUE(coord.start()) << coord.lastError();
+        if (i % 3 == 1) {
+            WorkerCfg wcfg;
+            wcfg.connect = {"127.0.0.1", coord.port()};
+            wcfg.heartbeat_ms = 50;
+            WorkerThread w(wcfg);
+            ASSERT_TRUE(coord.waitForWorkers(1, 10'000));
+            coord.stop();
+        } else {
+            // A bare dial racing the teardown.
+            const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+            ASSERT_GE(fd, 0);
+            sockaddr_in addr{};
+            addr.sin_family = AF_INET;
+            addr.sin_port = htons(coord.port());
+            addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+            ::connect(fd, reinterpret_cast<sockaddr *>(&addr), sizeof addr);
+            if (i % 2)
+                coord.kill();
+            else
+                coord.stop();
+            ::close(fd);
+        }
+    }
+    churning = false;
+    churn.join();
 }
 
 /**
