@@ -12,15 +12,44 @@
 
 namespace wo {
 
-std::string
-fnv1aHex(const std::string &text)
+std::uint64_t
+fnv1a64(std::string_view text)
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (unsigned char c : text) {
         h ^= c;
         h *= 0x100000001b3ULL;
     }
-    return strprintf("%016llx", static_cast<unsigned long long>(h));
+    return h;
+}
+
+std::string
+fnv1aHex(const std::string &text)
+{
+    return strprintf("%016llx",
+                     static_cast<unsigned long long>(fnv1a64(text)));
+}
+
+std::vector<std::string>
+splitCommas(std::string_view text)
+{
+    std::vector<std::string> out;
+    while (!text.empty()) {
+        const std::size_t comma = std::min(text.find(','), text.size());
+        if (comma > 0)
+            out.emplace_back(text.substr(0, comma));
+        text.remove_prefix(std::min(comma + 1, text.size()));
+    }
+    return out;
+}
+
+std::string
+joinCommas(const std::vector<std::string> &items)
+{
+    std::string out;
+    for (const std::string &s : items)
+        out += (out.empty() ? "" : ",") + s;
+    return out;
 }
 
 bool
@@ -164,6 +193,16 @@ Cell::systemCfg(std::uint64_t max_events, EventQueueKind queue) const
     cfg.collect_stats = false;
     cfg.max_events = max_events;
     return cfg;
+}
+
+VerifyCfg
+Cell::verifyCfg() const
+{
+    VerifyCfg v;
+    v.max_states = max_states;
+    v.jobs = explore_jobs;
+    v.axiom.inject_bug = inject_axiom_bug;
+    return v;
 }
 
 const std::vector<LitmusCorpusEntry> &
@@ -432,12 +471,8 @@ runCell(const Cell &cell, std::string key, std::uint64_t max_events,
         // starts from the zeroed initial image.
         Timeline::Scope verify_span(tl, SpanKind::run);
         const auto t0 = std::chrono::steady_clock::now();
-        VerifyCfg vcfg;
-        vcfg.max_states = cell.max_states;
-        vcfg.jobs = cell.explore_jobs;
-        vcfg.axiom.inject_bug = cell.inject_axiom_bug;
-        VerifyResult v =
-            verifyProgramOnModel(*run.program, cell.model, vcfg);
+        VerifyResult v = verifyProgramOnModel(*run.program, cell.model,
+                                              cell.verifyCfg());
         r.wall_ms = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)
                         .count();

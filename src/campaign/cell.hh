@@ -22,10 +22,12 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "asm/assembler.hh"
+#include "campaign/verify.hh"
 #include "obs/json.hh"
 #include "obs/monitor.hh"
 #include "program/program.hh"
@@ -109,12 +111,15 @@ struct Cell
 
     /**
      * The timed-system configuration this cell runs under.  @p queue
-     * selects the event kernel: the legacy heap exists so a campaign
-     * can cross-check verdicts against the pre-overhaul kernel.
+     * selects the event kernel; both campaign transports run the
+     * calendar queue.
      */
     SystemCfg systemCfg(std::uint64_t max_events,
                         EventQueueKind queue =
                             EventQueueKind::calendar) const;
+
+    /** The dual-engine judge's configuration for a verify cell. */
+    VerifyCfg verifyCfg() const;
 };
 
 /** A materialized cell program, or why it could not be built. */
@@ -288,8 +293,17 @@ CellRun runCell(const Cell &cell, std::uint64_t max_events,
 CellRun runCell(const Cell &cell, std::string key, std::uint64_t max_events,
                 EventQueueKind queue, MaterializeCache *cache);
 
-/** 64-bit FNV-1a over @p text, rendered as 16 hex digits. */
+/** Stable 64-bit FNV-1a over @p text (journal keys, frontier seeds). */
+std::uint64_t fnv1a64(std::string_view text);
+
+/** fnv1a64() of @p text, rendered as 16 hex digits. */
 std::string fnv1aHex(const std::string &text);
+
+/** Split @p text at commas, dropping empty pieces. */
+std::vector<std::string> splitCommas(std::string_view text);
+
+/** Join @p items with commas. */
+std::string joinCommas(const std::vector<std::string> &items);
 
 /** Parse "sc" / "def1" / "drf0" / "drf0ro"; false on unknown text. */
 bool parsePolicyName(const std::string &name, OrderingPolicy &out);

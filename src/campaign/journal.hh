@@ -296,9 +296,6 @@ class Journal
     std::map<std::string, JournalFailure> failures_;
 };
 
-/** Stable 64-bit FNV-1a over @p text (journal key hashing). */
-std::uint64_t fnv1a64(std::string_view text);
-
 } // namespace wo
 
 #endif // WO_CAMPAIGN_JOURNAL_HH

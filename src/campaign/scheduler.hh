@@ -15,17 +15,21 @@
  * resumed skips, so kill + `--resume` converges instead of re-running
  * history.
  *
- * Every hardware-blaming verdict is shrunk to a minimal reproducer
- * (see shrink.hh) and deduplicated by verdict kind + shrunk-program
- * hash; the first equivalent failure writes a `.wo` reproducer plus an
- * evidence bundle under the output directory, later ones only count.
+ * The engine is the in-process *cell source* of the campaign
+ * pipeline: tickets, the base stream and the frontier deques decide
+ * which cell runs next.  Running it (and shrinking a hardware failure
+ * to a minimal reproducer) is a CellExecutor's job (executor.hh), one
+ * per worker; tallying, journaling, deduplicated failure filing and
+ * the summary belong to the ResultSink (sink.hh) all workers feed.
+ * The fleet (src/fleet/) runs the same executor on remote workers and
+ * feeds the same sink on its coordinator.  The first equivalent
+ * failure also gets an evidence bundle here, in process.
  *
  * The per-cell hot path carries no serialization point, so throughput
  * scales near-linearly with --jobs: the journal group-commits from a
  * dedicated writer thread (see journal.hh), resume lookups read an
- * immutable snapshot, each worker owns a materialization cache and a
- * cache-line-aligned statistics block merged at join, and failure
- * provenance is staged per worker instead of behind a global mutex.
+ * immutable snapshot, and each worker owns its executor (cache and
+ * machine) and a cache-line-aligned tally slot in the sink.
  */
 
 #ifndef WO_CAMPAIGN_SCHEDULER_HH
@@ -36,26 +40,34 @@
 
 #include "campaign/cell.hh"
 #include "campaign/fuzzer.hh"
-#include "obs/json.hh"
-#include "obs/timeline.hh"
+#include "campaign/sink.hh"
 
 namespace wo {
 
 class HttpServer;
 
+/**
+ * A campaign's cell spec: the base stream's parameters (FuzzerCfg)
+ * plus the per-cell budgets and shrink settings.  Everything here
+ * means the same on a remote fleet worker, so this is what a fleet
+ * lease carries (FleetCampaignSpec, fleet/proto.hh) and what both
+ * transports' executors and generators are configured from.
+ */
+struct CampaignSpec : FuzzerCfg
+{
+    std::uint64_t cells = 200;    //!< cell budget (includes skips)
+    std::uint64_t max_events = 300'000; //!< per-cell livelock budget
+    bool shrink = true;           //!< minimize hardware failures
+    std::uint64_t shrink_max_runs = 500;
+};
+
 /** Campaign configuration (the `wotool campaign` surface). */
-struct CampaignCfg
+struct CampaignCfg : CampaignSpec
 {
     int jobs = 1;                 //!< worker threads
-    std::uint64_t cells = 200;    //!< cell budget (includes skips)
     double time_budget_s = 0;     //!< wall-clock cap; 0 = none
     std::string out_dir = "campaign-out";
     std::string journal_path;     //!< default: <out_dir>/campaign.journal.jsonl
-    std::vector<std::string> program_files; //!< extra .wo corpus
-    std::vector<OrderingPolicy> policies = {
-        OrderingPolicy::sc, OrderingPolicy::wo_def1,
-        OrderingPolicy::wo_drf0};
-    bool shrink = true;           //!< minimize hardware failures
     bool resume = false;          //!< replay the journal, skip done cells
     /**
      * Feed novelty-earned mutants back into the fleet (`--no-frontier`
@@ -66,34 +78,7 @@ struct CampaignCfg
      * cell-for-cell in the verdict-parity tests.
      */
     bool frontier = true;
-    std::uint64_t seed = 1;       //!< base-stream / mutation seed
-    std::uint64_t max_events = 300'000; //!< per-cell livelock budget
-    std::uint64_t shrink_max_runs = 500;
-    bool inject_reserve_bug = false; //!< seeded-fault campaign
-    /**
-     * Verify campaign (`--verify`): cells model-check programs with
-     * the dual-engine judge (campaign/verify.hh) instead of running
-     * timed simulations.  Engine disagreements and broken Definition-2
-     * subset claims become shrunk, auto-filed reproducers through the
-     * same failure pipeline as monitor findings.
-     */
-    bool verify = false;
-    /** Models verify cells check; empty = every registered model. */
-    std::vector<std::string> verify_models;
-    /** Per-engine state budget of each verify cell. */
-    std::uint64_t max_states = 200'000;
-    /**
-     * Worker threads inside each verify cell's DPOR exploration
-     * (`--explore-jobs`; orthogonal to `jobs`, which fans out across
-     * cells).  Bit-identical results at any value keep it out of cell
-     * keys and the journal.
-     */
-    int explore_jobs = 1;
-    /** Seeded axiomatic-evaluator fault (cross-check path exercise). */
-    bool inject_axiom_bug = false;
     bool progress = false;        //!< live progress line on stderr
-    /** Run cells on the legacy heap kernel (A/B cross-checking). */
-    bool legacy_queue = false;
     /**
      * Journal group-commit granularity: fwrite+fflush after at most
      * this many buffered records (`--sync-every`; 1 = one flush per
@@ -126,75 +111,9 @@ struct CampaignCfg
     HttpServer *serve = nullptr;
 };
 
-/** One deduplicated hardware failure, as the campaign reports it. */
-struct FailureRecord
-{
-    std::string dedup;        //!< "<kind>:<shrunk-program hash>"
-    std::string kind;         //!< violation kind name
-    std::string first_cell;   //!< key of the first cell that hit it
-    std::string repro_path;   //!< minimized .wo reproducer
-    std::size_t instructions = 0;      //!< after shrinking
-    std::size_t orig_instructions = 0; //!< before shrinking
-    std::uint64_t count = 0;  //!< equivalent failures (dedup hits)
-    bool reproduced = false;  //!< shrink predicate held on the minimum
-};
-
-/** What a campaign did. */
-struct CampaignSummary
-{
-    std::uint64_t ran = 0;     //!< cells actually simulated
-    std::uint64_t skipped = 0; //!< journaled cells skipped on resume
-    /** Cells skipped because their key already ran in this run (the
-     *  base stream or a frontier mutant repeated it). */
-    std::uint64_t duplicate = 0;
-    std::uint64_t clean = 0;
-    std::uint64_t racy = 0;    //!< software races (contract void)
-    std::uint64_t hw = 0;      //!< cells with hardware violations
-    std::uint64_t deadlocked = 0;
-    std::uint64_t livelocked = 0;
-    std::uint64_t errors = 0;  //!< cells whose program failed to build
-    std::uint64_t inconclusive = 0; //!< verify cells without a verdict
-    std::uint64_t nonsc = 0;   //!< verify cells: hw escaped SC (expected)
-    std::uint64_t by_kind[num_violation_kinds] = {};
-    std::uint64_t novelty = 0; //!< fuzz-frontier discoveries
-    std::vector<FailureRecord> failures; //!< deduplicated
-    double wall_s = 0;
-    double cells_per_sec = 0;
-    double lat_p50_ms = 0; //!< median per-cell wall time (ran cells)
-    double lat_p99_ms = 0; //!< tail per-cell wall time
-
-    /**
-     * One engine thread's span decomposition: where its wall clock
-     * went, by span kind (see obs/timeline.hh).  Lanes are the jobs
-     * workers in order plus the journal writer; always populated, so
-     * every campaign explains its own scaling.
-     */
-    struct LaneSummary
-    {
-        std::string lane;      //!< "worker<i>" or "journal-writer"
-        double wall_ms = 0;    //!< markStart..markEnd of the thread loop
-        double span_ms[num_span_kinds] = {};
-        std::uint64_t span_count[num_span_kinds] = {};
-        double span_max_ms[num_span_kinds] = {};
-    };
-    std::vector<LaneSummary> lanes;
-
-    // Self-profiler results (zero / empty unless cfg.profile).
-    std::uint64_t profile_samples = 0;
-    std::uint64_t profile_dropped = 0;
-    std::string folded_path;  //!< collapsed stacks written here
-    std::string trace_path;   //!< per-lane Chrome trace written here
-    Json profiler_json;       //!< Profiler::toJson(); null when off
-
-    /** Exit-0 condition: no hardware violation survived shrinking. */
-    bool hardwareClean() const { return failures.empty(); }
-
-    /** The final human-readable summary table. */
-    std::string table() const;
-
-    /** Machine-readable form (journal footer / tooling). */
-    Json toJson() const;
-};
+/** @p spec as JSON: the journal header of an in-process campaign and
+ *  the fleet's wire spec (fleet/proto.hh). */
+Json campaignSpecJson(const CampaignSpec &spec);
 
 /** Run a campaign to completion (or its budget). */
 CampaignSummary runCampaign(const CampaignCfg &cfg);

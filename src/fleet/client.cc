@@ -11,43 +11,26 @@ SubmitResult
 submitCampaign(const SubmitCfg &cfg)
 {
     SubmitResult out;
-    std::string err;
-    const int fd = fleetConnect(cfg.connect, &err);
-    if (fd < 0) {
-        out.error = err;
+    const int fd = fleetConnect(cfg.connect, &out.error);
+    if (fd < 0)
         return out;
-    }
     LineConn conn(fd);
 
     Json hello = fleetMsg("hello");
-    hello.set("proto", Json(fleet_proto_version));
     hello.set("role", Json("client"));
     hello.set("name", Json("submit"));
-    if (!conn.writeLine(hello)) {
-        out.error = "handshake write failed";
+    if (!fleetHello(conn, std::move(hello), nullptr, &out.error))
         return out;
-    }
-    std::string line;
-    if (conn.readLine(line, 10'000) != LineConn::Read::line) {
-        out.error = "no handshake reply";
-        return out;
-    }
-    JsonParseResult hp = jsonParse(line);
-    if (!hp.ok || fleetMsgType(hp.value) != "hello_ok") {
-        const Json *text = hp.ok ? hp.value.find("text") : nullptr;
-        out.error = text && text->isString() ? text->stringValue()
-                                             : "handshake rejected";
-        return out;
-    }
 
     Json submit = fleetMsg("submit");
-    submit.set("spec", fleetSpecToJson(cfg.spec));
+    submit.set("spec", campaignSpecJson(cfg.spec));
     if (!conn.writeLine(submit)) {
         out.error = "submit write failed";
         return out;
     }
 
     // accepted -> (progress)* -> done, all pushed by the coordinator.
+    std::string line;
     const int wait_ms =
         cfg.idle_timeout_ms > 0 ? cfg.idle_timeout_ms : 2'000;
     for (;;) {
@@ -70,8 +53,7 @@ submitCampaign(const SubmitCfg &cfg)
             continue;
         const std::string type = fleetMsgType(p.value);
         if (type == "accepted") {
-            const Json *c = p.value.find("campaign");
-            out.campaign = c && c->isNumber() ? c->uintValue() : 0;
+            out.campaign = fleetUint(p.value, "campaign");
             if (!cfg.quiet)
                 inform("fleet: campaign %llu accepted",
                        static_cast<unsigned long long>(out.campaign));
@@ -81,20 +63,13 @@ submitCampaign(const SubmitCfg &cfg)
             const Json *cells = p.value.find("cells");
             if (!cells || !cells->isObject())
                 continue;
-            const Json *done = cells->find("done");
-            const Json *total = cells->find("cells");
-            const Json *hw = cells->find("hw");
-            std::fprintf(stderr,
-                         "\rfleet: %llu/%llu cells, %llu hw   ",
-                         done ? static_cast<unsigned long long>(
-                                    done->uintValue())
-                              : 0ULL,
-                         total ? static_cast<unsigned long long>(
-                                     total->uintValue())
-                               : 0ULL,
-                         hw ? static_cast<unsigned long long>(
-                                  hw->uintValue())
-                            : 0ULL);
+            std::fprintf(stderr, "\rfleet: %llu/%llu cells, %llu hw   ",
+                         static_cast<unsigned long long>(
+                             fleetUint(*cells, "done")),
+                         static_cast<unsigned long long>(
+                             fleetUint(*cells, "cells")),
+                         static_cast<unsigned long long>(
+                             fleetUint(*cells, "hw")));
             std::fflush(stderr);
         } else if (type == "done") {
             if (!cfg.quiet)
@@ -106,9 +81,9 @@ submitCampaign(const SubmitCfg &cfg)
             out.ok = true;
             return out;
         } else if (type == "error") {
-            const Json *text = p.value.find("text");
-            out.error = text && text->isString() ? text->stringValue()
-                                                 : "coordinator error";
+            out.error = fleetString(p.value, "text");
+            if (out.error.empty())
+                out.error = "coordinator error";
             return out;
         }
     }

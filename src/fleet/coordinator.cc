@@ -1,6 +1,7 @@
 #include "coordinator.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <filesystem>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -8,24 +9,28 @@
 #include "common/logging.hh"
 #include "obs/artifact.hh"
 #include "obs/httpd.hh"
-#include "obs/metrics.hh"
 
 namespace wo {
 
 namespace {
 
-std::uint64_t
-msgUint(const Json &msg, const char *key)
+std::string
+campaignDir(const CoordinatorCfg &cfg, std::uint64_t id)
 {
-    const Json *v = msg.find(key);
-    return v && v->isNumber() ? v->uintValue() : 0;
+    return cfg.out_dir +
+           strprintf("/c%llu", static_cast<unsigned long long>(id));
 }
 
-std::string
-msgString(const Json &msg, const char *key)
+/** A campaign's sink: journal and repros under @p dir, one tally slot
+ *  (the pump thread). */
+std::unique_ptr<ResultSink>
+newSink(const CoordinatorCfg &cfg, const std::string &dir)
 {
-    const Json *v = msg.find(key);
-    return v && v->isString() ? v->stringValue() : "";
+    JournalCfg jcfg;
+    jcfg.sync_every = cfg.sync_every;
+    jcfg.flush_interval_ms = cfg.flush_interval_ms;
+    return std::make_unique<ResultSink>(dir + "/campaign.journal.jsonl",
+                                        jcfg, dir, 1);
 }
 
 } // namespace
@@ -59,25 +64,10 @@ Coordinator::start()
     if (cfg_.resume)
         resumeFromOutDir();
 
-    if (cfg_.serve) {
-        cfg_.serve->handle("/healthz", [](const HttpRequest &) {
-            HttpResponse r;
-            r.body = "ok\n";
-            return r;
-        });
-        cfg_.serve->handle("/metrics", [this](const HttpRequest &) {
-            HttpResponse r;
-            r.content_type = "text/plain; version=0.0.4";
-            r.body = prometheusText(metricsJson(), "wo_fleet");
-            return r;
-        });
-        cfg_.serve->handle("/progress", [this](const HttpRequest &) {
-            HttpResponse r;
-            r.content_type = "application/json";
-            r.body = progressJson().dump(1) + "\n";
-            return r;
-        });
-    }
+    if (cfg_.serve)
+        mountControlPlane(
+            *cfg_.serve, "wo_fleet", [this] { return metricsJson(); },
+            [this] { return progressJson(); });
 
     started_ = true;
     acceptor_ = std::thread([this] { acceptLoop(); });
@@ -150,8 +140,7 @@ Coordinator::teardown(bool drain)
         // Commit every merged record; in-flight campaigns stay
         // resumable from exactly this journal state.
         for (auto &camp : camps_)
-            if (camp->journal)
-                camp->journal->close();
+            camp->sink->journal().close();
     }
     if (cfg_.serve)
         cfg_.serve->stop();
@@ -261,8 +250,6 @@ Coordinator::pumpLoop()
         std::lock_guard<std::mutex> lock(mu_);
         if (have) {
             switch (ev.kind) {
-              case Event::Kind::connected:
-                break;
               case Event::Kind::message:
                 handleMessage(ev.conn, ev.msg);
                 break;
@@ -278,7 +265,7 @@ Coordinator::pumpLoop()
 }
 
 void
-Coordinator::handleMessage(std::uint64_t conn_id, const Json &msg)
+Coordinator::handleMessage(std::uint64_t conn_id, Json &msg)
 {
     auto it = conns_.find(conn_id);
     if (it == conns_.end() || it->second->dead)
@@ -290,10 +277,7 @@ Coordinator::handleMessage(std::uint64_t conn_id, const Json &msg)
     if (type == "hello") {
         handleHello(c, msg);
     } else if (c.role == Role::unknown) {
-        Json err = fleetMsg("error");
-        err.set("text", Json("expected hello, got '" + type + "'"));
-        c.sock->writeLine(err);
-        dropConn(conn_id, "no hello");
+        reject(c, "expected hello, got '" + type + "'", "no hello");
     } else if (type == "heartbeat") {
         // last_seen is already refreshed above.
     } else if (type == "submit") {
@@ -312,37 +296,31 @@ Coordinator::handleMessage(std::uint64_t conn_id, const Json &msg)
 void
 Coordinator::handleHello(Conn &c, const Json &msg)
 {
-    const std::uint64_t proto = msgUint(msg, "proto");
+    const std::uint64_t proto = fleetUint(msg, "proto");
     if (proto != fleet_proto_version) {
-        Json err = fleetMsg("error");
-        err.set("text",
-                Json(strprintf("fleet protocol mismatch: peer speaks v%llu, "
-                               "this coordinator v%llu",
-                               static_cast<unsigned long long>(proto),
-                               static_cast<unsigned long long>(
-                                   fleet_proto_version))));
-        c.sock->writeLine(err);
-        dropConn(c.id, "protocol mismatch");
+        reject(c,
+               strprintf("fleet protocol mismatch: peer speaks v%llu, "
+                         "this coordinator v%llu",
+                         static_cast<unsigned long long>(proto),
+                         static_cast<unsigned long long>(
+                             fleet_proto_version)),
+               "protocol mismatch");
         return;
     }
-    const std::string role = msgString(msg, "role");
-    if (role == "worker")
+    const std::string role = fleetString(msg, "role");
+    if (role == "worker") {
         c.role = Role::worker;
-    else if (role == "client")
+    } else if (role == "client") {
         c.role = Role::client;
-    else {
-        Json err = fleetMsg("error");
-        err.set("text", Json("unknown role '" + role + "'"));
-        c.sock->writeLine(err);
-        dropConn(c.id, "unknown role");
+    } else {
+        reject(c, "unknown role '" + role + "'", "unknown role");
         return;
     }
-    c.name = msgString(msg, "name");
+    c.name = fleetString(msg, "name");
     if (c.name.empty())
         c.name = strprintf("%s%llu", role.c_str(),
                            static_cast<unsigned long long>(c.id));
-    c.jobs = std::max(1, static_cast<int>(msgUint(msg, "jobs")));
-    c.hw_threads = msgUint(msg, "hw_threads");
+    c.jobs = std::max(1, static_cast<int>(fleetUint(msg, "jobs")));
 
     Json ok = fleetMsg("hello_ok");
     ok.set("proto", Json(fleet_proto_version));
@@ -364,11 +342,8 @@ Coordinator::handleSubmit(Conn &c, const Json &msg)
     FleetCampaignSpec spec;
     std::string why;
     if (!spec_j || !fleetSpecFromJson(*spec_j, spec, &why)) {
-        Json err = fleetMsg("error");
-        err.set("text", Json("bad campaign spec: " +
-                             (why.empty() ? "missing" : why)));
-        c.sock->writeLine(err);
-        dropConn(c.id, "bad spec");
+        reject(c, "bad campaign spec: " + (why.empty() ? "missing" : why),
+               "bad spec");
         return;
     }
     const std::uint64_t id = enqueueCampaign(std::move(spec), c.id);
@@ -378,17 +353,13 @@ Coordinator::handleSubmit(Conn &c, const Json &msg)
 }
 
 void
-Coordinator::handleResult(Conn &c, const Json &msg)
+Coordinator::handleResult(Conn &c, Json &msg)
 {
-    const std::uint64_t camp_id = msgUint(msg, "campaign");
-    Camp *camp = nullptr;
-    for (auto &cp : camps_)
-        if (cp->id == camp_id)
-            camp = cp.get();
-    const Json *cell = msg.find("cell");
+    Camp *camp = findCampaign(fleetUint(msg, "campaign"));
+    Json *cell = msg.find("cell");
     if (!camp || !cell || !cell->isObject())
         return;
-    const std::uint64_t idx = msgUint(msg, "idx");
+    const std::uint64_t idx = fleetUint(msg, "idx");
     if (camp->completed || idx >= camp->spec.cells || camp->done[idx]) {
         // A reassigned lease's original holder reported late: the
         // merge is idempotent, the duplicate only counts.
@@ -396,26 +367,17 @@ Coordinator::handleResult(Conn &c, const Json &msg)
         return;
     }
     camp->done[idx] = 1;
-    ++camp->done_cells;
-    ++camp->ran;
     ++c.cells_done;
 
-    const std::string verdict = msgString(*cell, "verdict");
-    if (verdict == "clean")
-        ++camp->clean;
-    else if (verdict == "race")
-        ++camp->racy;
-    else if (verdict == "deadlock")
-        ++camp->deadlocked;
-    else if (verdict == "livelock")
-        ++camp->livelocked;
-    else if (verdict == "error")
-        ++camp->errors;
-    else if (verdict.rfind("hw:", 0) == 0)
-        ++camp->hw;
-    const std::string kind = msgString(*cell, "kind");
-    if (!kind.empty())
-        ++camp->kind_counts[kind];
+    // Tally straight off the parsed line: the verdict spelling, the
+    // wall time and the monitor findings the worker counted per kind.
+    std::uint64_t by_kind[num_violation_kinds] = {};
+    if (const Json *bk = msg.find("by_kind"); bk && bk->isObject())
+        addByKindJson(*bk, by_kind);
+    const Json *ms = cell->find("ms");
+    camp->sink->record(0, fleetString(*cell, "verdict"),
+                       ms && ms->isNumber() ? ms->numberValue() : 0,
+                       by_kind);
 
     const std::size_t shard_i =
         static_cast<std::size_t>(idx / cfg_.shard_size);
@@ -423,36 +385,32 @@ Coordinator::handleResult(Conn &c, const Json &msg)
     if (shard.remaining > 0)
         --shard.remaining;
 
+    const Json *f = msg.find("failure");
+    std::string key = f ? fleetString(*cell, "key") : "";
     // Merge into the campaign journal, annotated with the fleet
-    // provenance a resumed coordinator needs.
-    Json rec = *cell;
-    rec.set("type", Json("cell"));
-    rec.set("idx", Json(idx));
-    rec.set("shard", Json(static_cast<std::uint64_t>(shard_i)));
-    rec.set("worker", Json(c.name));
-    camp->journal->appendJson(std::move(rec));
+    // provenance a resumed coordinator needs.  The received line is
+    // moved in, not copied: this thread carries the whole fleet.
+    cell->set("type", Json("cell"));
+    cell->set("idx", Json(idx));
+    cell->set("shard", Json(static_cast<std::uint64_t>(shard_i)));
+    cell->set("worker", Json(c.name));
+    camp->sink->journal().appendJson(std::move(*cell));
 
-    if (const Json *f = msg.find("failure"); f && f->isObject()) {
-        const std::string fkind = msgString(*f, "kind");
-        const std::string wo_text = msgString(*f, "wo_text");
-        // Same identity as the single-process engine: a bug found by
-        // three workers is still one failure fleet-wide.
-        const std::string hash = fnv1aHex(wo_text).substr(0, 12);
-        const std::string dedup = fkind + ":" + hash;
-        const std::string wo_path =
-            camp->dir + "/repro-" + fkind + "-" + hash + ".wo";
-        const bool first = camp->journal->recordFailure(
-            dedup, fkind, msgString(*cell, "key"), wo_path,
-            static_cast<std::size_t>(msgUint(*f, "insns")),
-            static_cast<std::size_t>(msgUint(*f, "orig_insns")));
-        if (first) {
-            ++camp->unique_failures;
-            writeFile(wo_path, wo_text);
-            if (cfg_.verbose)
-                inform("fleet: campaign %llu failure %s (from '%s')",
-                       static_cast<unsigned long long>(camp->id),
-                       dedup.c_str(), c.name.c_str());
-        }
+    if (f && f->isObject()) {
+        FailureRecord fr;
+        fr.kind = fleetString(*f, "kind");
+        fr.first_cell = std::move(key);
+        fr.instructions = static_cast<std::size_t>(fleetUint(*f, "insns"));
+        fr.orig_instructions =
+            static_cast<std::size_t>(fleetUint(*f, "orig_insns"));
+        const Json *rep = f->find("reproduced");
+        fr.reproduced = rep && rep->isBool() && rep->boolValue();
+        const std::string stem = camp->sink->fileFailure(
+            std::move(fr), fleetString(*f, "wo_text"));
+        if (!stem.empty() && cfg_.verbose)
+            inform("fleet: campaign %llu failure %s.wo (from '%s')",
+                   static_cast<unsigned long long>(camp->id),
+                   stem.c_str(), c.name.c_str());
     }
 
     if (shard.remaining == 0) {
@@ -467,11 +425,20 @@ Coordinator::handleResult(Conn &c, const Json &msg)
 void
 Coordinator::handleLeaseDone(Conn &c, const Json &msg)
 {
-    const std::uint64_t lease_id = msgUint(msg, "lease");
+    const std::uint64_t lease_id = fleetUint(msg, "lease");
     auto it = leases_.find(lease_id);
     if (it == leases_.end() || it->second.conn != c.id)
         return; // stale: the lease was reassigned while this ran
     releaseLease(lease_id);
+}
+
+void
+Coordinator::reject(Conn &c, const std::string &text, const char *why)
+{
+    Json err = fleetMsg("error");
+    err.set("text", Json(text));
+    c.sock->writeLine(err);
+    dropConn(c.id, why);
 }
 
 void
@@ -493,9 +460,8 @@ Coordinator::dropConn(std::uint64_t conn_id, const char *why)
         auto lit = leases_.find(lease);
         if (lit == leases_.end())
             continue;
-        for (auto &cp : camps_)
-            if (cp->id == lit->second.campaign)
-                ++cp->reassigned_leases;
+        if (Camp *cp = findCampaign(lit->second.campaign))
+            ++cp->reassigned_leases;
         releaseLease(lease);
     }
     if (c.role == Role::client)
@@ -520,19 +486,24 @@ Coordinator::releaseLease(std::uint64_t lease_id)
         held.erase(std::remove(held.begin(), held.end(), lease_id),
                    held.end());
     }
-    for (auto &cp : camps_) {
-        if (cp->id != lease.campaign)
-            continue;
-        Shard &shard = cp->shards[lease.shard];
-        if (shard.lease != lease_id)
-            break; // already re-leased
-        shard.lease = 0;
-        // Whatever the holder managed before the lease ended is merged
-        // already; the remainder goes back to the pending pool.
-        shard.state = shard.remaining == 0 ? Shard::State::done
-                                           : Shard::State::pending;
-        break;
-    }
+    Camp *cp = findCampaign(lease.campaign);
+    if (!cp || cp->shards[lease.shard].lease != lease_id)
+        return; // already re-leased
+    Shard &shard = cp->shards[lease.shard];
+    shard.lease = 0;
+    // Whatever the holder managed before the lease ended is merged
+    // already; the remainder goes back to the pending pool.
+    shard.state = shard.remaining == 0 ? Shard::State::done
+                                       : Shard::State::pending;
+}
+
+Coordinator::Camp *
+Coordinator::findCampaign(std::uint64_t id)
+{
+    for (auto &cp : camps_)
+        if (cp->id == id)
+            return cp.get();
+    return nullptr;
 }
 
 Coordinator::Camp *
@@ -570,7 +541,7 @@ Coordinator::grantLeases()
             msg.set("campaign", Json(camp->id));
             msg.set("lease", Json(lease_id));
             msg.set("shard", Json(static_cast<std::uint64_t>(shard_i)));
-            msg.set("spec", fleetSpecToJson(camp->spec));
+            msg.set("spec", campaignSpecJson(camp->spec));
             Json indices = Json::array();
             for (std::uint64_t i = shard->lo; i < shard->hi; ++i)
                 if (!camp->done[i])
@@ -582,13 +553,8 @@ Coordinator::grantLeases()
             }
             shard->state = Shard::State::leased;
             shard->lease = lease_id;
-            Lease lease;
-            lease.id = lease_id;
-            lease.campaign = camp->id;
-            lease.shard = shard_i;
-            lease.conn = id;
-            lease.granted = std::chrono::steady_clock::now();
-            leases_.emplace(lease_id, lease);
+            leases_.emplace(lease_id,
+                            Lease{lease_id, camp->id, shard_i, id});
             c->leases.push_back(lease_id);
             if (cfg_.verbose)
                 inform("fleet: lease %llu (campaign %llu shard %zu, "
@@ -643,11 +609,25 @@ Coordinator::sendClientProgress()
 void
 Coordinator::maybeCompleteCampaign(Camp &camp)
 {
-    if (camp.completed || camp.done_cells < camp.spec.cells)
+    if (camp.completed || camp.sink->completed() < camp.spec.cells)
         return;
     camp.completed = true;
-    camp.summary = buildSummary(camp);
-    camp.journal->close();
+    camp.sink->journal().close();
+    // One summary schema for both transports, plus the fleet's own
+    // members.
+    const CampaignSummary sum = camp.sink->summary(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      camp.t0)
+            .count());
+    camp.sink->dropSamples();
+    camp.summary = sum.toJson();
+    camp.summary.set("campaign", Json(camp.id));
+    camp.summary.set("cells", Json(camp.spec.cells));
+    camp.summary.set("unique_failures",
+                     Json(static_cast<std::uint64_t>(sum.failures.size())));
+    camp.summary.set("hardware_clean", Json(sum.hardwareClean()));
+    camp.summary.set("duplicate_results", Json(camp.duplicate_results));
+    camp.summary.set("reassigned_leases", Json(camp.reassigned_leases));
     writeFile(camp.dir + "/campaign.summary.json",
               camp.summary.dump(1) + "\n");
     ++completed_campaigns_;
@@ -655,18 +635,16 @@ Coordinator::maybeCompleteCampaign(Camp &camp)
         inform("fleet: campaign %llu complete (%llu ran, %llu resumed, "
                "%llu unique failures)",
                static_cast<unsigned long long>(camp.id),
-               static_cast<unsigned long long>(camp.ran),
-               static_cast<unsigned long long>(camp.resumed),
-               static_cast<unsigned long long>(camp.unique_failures));
+               static_cast<unsigned long long>(sum.ran),
+               static_cast<unsigned long long>(sum.skipped),
+               static_cast<unsigned long long>(sum.failures.size()));
 
     if (camp.client_conn != 0) {
         auto it = conns_.find(camp.client_conn);
         if (it != conns_.end() && !it->second->dead) {
             Json msg = fleetMsg("done");
             msg.set("campaign", Json(camp.id));
-            const Json *hc = camp.summary.find("hardware_clean");
-            msg.set("hardware_clean",
-                    Json(hc && hc->isBool() && hc->boolValue()));
+            msg.set("hardware_clean", Json(sum.hardwareClean()));
             msg.set("summary", camp.summary);
             it->second->sock->writeLine(msg);
         }
@@ -685,81 +663,28 @@ Coordinator::maybeCompleteCampaign(Camp &camp)
     state_cv_.notify_all();
 }
 
-Json
-Coordinator::buildSummary(const Camp &camp) const
-{
-    Json j = Json::object();
-    j.set("campaign", Json(camp.id));
-    j.set("cells", Json(camp.spec.cells));
-    j.set("ran", Json(camp.ran));
-    j.set("resumed", Json(camp.resumed));
-    j.set("clean", Json(camp.clean));
-    j.set("racy", Json(camp.racy));
-    j.set("hw", Json(camp.hw));
-    j.set("deadlocked", Json(camp.deadlocked));
-    j.set("livelocked", Json(camp.livelocked));
-    j.set("errors", Json(camp.errors));
-    j.set("duplicate_results", Json(camp.duplicate_results));
-    j.set("reassigned_leases", Json(camp.reassigned_leases));
-    Json kinds = Json::object();
-    for (const auto &[kind, count] : camp.kind_counts)
-        kinds.set(kind, Json(count));
-    j.set("by_kind", std::move(kinds));
-    // The journal's failure map spans resumed history too, so the
-    // verdict survives a coordinator restart.
-    const auto failures = camp.journal->failures();
-    j.set("unique_failures",
-          Json(static_cast<std::uint64_t>(failures.size())));
-    j.set("hardware_clean", Json(failures.empty()));
-    Json fl = Json::array();
-    for (const auto &[dedup, f] : failures) {
-        Json rec = Json::object();
-        rec.set("dedup", Json(dedup));
-        rec.set("kind", Json(f.kind));
-        rec.set("file", Json(f.file));
-        rec.set("insns", Json(static_cast<std::uint64_t>(f.insns)));
-        rec.set("count", Json(f.count));
-        fl.push(std::move(rec));
-    }
-    j.set("failures", std::move(fl));
-    j.set("wall_s",
-          Json(std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - camp.t0)
-                   .count()));
-    return j;
-}
-
 // --- campaign setup / resume -----------------------------------------
 
-std::uint64_t
-Coordinator::enqueueCampaign(FleetCampaignSpec spec,
-                             std::uint64_t client_conn)
+Coordinator::Camp &
+Coordinator::addCampaign(std::uint64_t id, FleetCampaignSpec spec,
+                         std::unique_ptr<ResultSink> sink)
 {
     auto camp = std::make_unique<Camp>();
-    camp->id = next_campaign_++;
+    camp->id = id;
     camp->spec = std::move(spec);
-    camp->client_conn = client_conn;
+    camp->dir = campaignDir(cfg_, id);
     camp->t0 = std::chrono::steady_clock::now();
-    camp->dir = cfg_.out_dir +
-                strprintf("/c%llu",
-                          static_cast<unsigned long long>(camp->id));
-    std::error_code ec;
-    std::filesystem::create_directories(camp->dir, ec);
-
-    JournalCfg jcfg;
-    jcfg.sync_every = cfg_.sync_every;
-    jcfg.flush_interval_ms = cfg_.flush_interval_ms;
-    camp->journal = std::make_unique<Journal>(
-        camp->dir + "/campaign.journal.jsonl", jcfg);
-    camp->journal->reserveKeys(camp->spec.cells);
-    camp->journal->open(true);
-    Json meta = Json::object();
-    meta.set("fleet", Json(true));
-    meta.set("campaign_id", Json(camp->id));
-    meta.set("spec", fleetSpecToJson(camp->spec));
-    camp->journal->writeHeader(std::move(meta));
-
+    camp->sink = std::move(sink);
+    Journal &journal = camp->sink->journal();
+    journal.reserveKeys(camp->spec.cells);
+    // A replayed journal's indices are done already; exactly the
+    // complement is (re-)leased.
     camp->done.assign(camp->spec.cells, 0);
+    for (std::uint64_t idx : journal.resumeIndices())
+        if (idx < camp->spec.cells && !camp->done[idx]) {
+            camp->done[idx] = 1;
+            camp->sink->skip(0, /*resumed=*/true);
+        }
     const std::size_t nshards = static_cast<std::size_t>(
         (camp->spec.cells + cfg_.shard_size - 1) / cfg_.shard_size);
     camp->shards.resize(nshards);
@@ -768,10 +693,33 @@ Coordinator::enqueueCampaign(FleetCampaignSpec spec,
         s.lo = i * cfg_.shard_size;
         s.hi = std::min<std::uint64_t>(s.lo + cfg_.shard_size,
                                        camp->spec.cells);
-        s.remaining = s.hi - s.lo;
+        for (std::uint64_t idx = s.lo; idx < s.hi; ++idx)
+            s.remaining += !camp->done[idx];
+        if (s.remaining == 0)
+            s.state = Shard::State::done;
     }
-    const std::uint64_t id = camp->id;
+    next_campaign_ = std::max(next_campaign_, id + 1);
     camps_.push_back(std::move(camp));
+    return *camps_.back();
+}
+
+std::uint64_t
+Coordinator::enqueueCampaign(FleetCampaignSpec spec,
+                             std::uint64_t client_conn)
+{
+    const std::uint64_t id = next_campaign_;
+    const std::string dir = campaignDir(cfg_, id);
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    Camp &camp = addCampaign(id, std::move(spec), newSink(cfg_, dir));
+    camp.client_conn = client_conn;
+    Journal &journal = camp.sink->journal();
+    journal.open(true);
+    Json meta = Json::object();
+    meta.set("fleet", Json(true));
+    meta.set("campaign_id", Json(id));
+    meta.set("spec", campaignSpecJson(camp.spec));
+    journal.writeHeader(std::move(meta));
     return id;
 }
 
@@ -785,36 +733,21 @@ Coordinator::resumeFromOutDir()
     for (const auto &ent :
          std::filesystem::directory_iterator(cfg_.out_dir, ec)) {
         const std::string name = ent.path().filename().string();
-        if (name.size() < 2 || name[0] != 'c' || !ent.is_directory())
-            continue;
+        const char *end = name.data() + name.size();
         std::uint64_t id = 0;
-        bool numeric = true;
-        for (std::size_t i = 1; i < name.size(); ++i) {
-            if (name[i] < '0' || name[i] > '9') {
-                numeric = false;
-                break;
-            }
-            id = id * 10 + static_cast<std::uint64_t>(name[i] - '0');
-        }
-        if (numeric && id > 0 &&
-            std::filesystem::exists(ent.path() /
-                                    "campaign.journal.jsonl"))
+        if (name.size() > 1 && name[0] == 'c' &&
+            std::from_chars(name.data() + 1, end, id).ptr == end &&
+            id > 0 &&
+            std::filesystem::exists(ent.path() / "campaign.journal.jsonl"))
             ids.push_back(id);
     }
     std::sort(ids.begin(), ids.end());
 
     for (std::uint64_t id : ids) {
-        const std::string dir =
-            cfg_.out_dir +
-            strprintf("/c%llu", static_cast<unsigned long long>(id));
-        JournalCfg jcfg;
-        jcfg.sync_every = cfg_.sync_every;
-        jcfg.flush_interval_ms = cfg_.flush_interval_ms;
-        auto journal =
-            std::make_unique<Journal>(dir + "/campaign.journal.jsonl",
-                                      jcfg);
-        journal->load();
-        const Json *spec_j = journal->header().find("spec");
+        const std::string dir = campaignDir(cfg_, id);
+        std::unique_ptr<ResultSink> sink = newSink(cfg_, dir);
+        sink->journal().load();
+        const Json *spec_j = sink->journal().header().find("spec");
         FleetCampaignSpec spec;
         std::string why;
         if (!spec_j || !fleetSpecFromJson(*spec_j, spec, &why)) {
@@ -823,44 +756,14 @@ Coordinator::resumeFromOutDir()
                  dir.c_str(), why.empty() ? "missing" : why.c_str());
             continue;
         }
-        auto camp = std::make_unique<Camp>();
-        camp->id = id;
-        camp->spec = std::move(spec);
-        camp->dir = dir;
-        camp->t0 = std::chrono::steady_clock::now();
-        camp->journal = std::move(journal);
-        camp->journal->reserveKeys(camp->spec.cells);
-        camp->journal->open(false);
-
-        camp->done.assign(camp->spec.cells, 0);
-        for (std::uint64_t idx : camp->journal->resumeIndices())
-            if (idx < camp->spec.cells && !camp->done[idx]) {
-                camp->done[idx] = 1;
-                ++camp->done_cells;
-                ++camp->resumed;
-            }
-        const std::size_t nshards = static_cast<std::size_t>(
-            (camp->spec.cells + cfg_.shard_size - 1) / cfg_.shard_size);
-        camp->shards.resize(nshards);
-        for (std::size_t i = 0; i < nshards; ++i) {
-            Shard &s = camp->shards[i];
-            s.lo = i * cfg_.shard_size;
-            s.hi = std::min<std::uint64_t>(s.lo + cfg_.shard_size,
-                                           camp->spec.cells);
-            for (std::uint64_t idx = s.lo; idx < s.hi; ++idx)
-                if (!camp->done[idx])
-                    ++s.remaining;
-            if (s.remaining == 0)
-                s.state = Shard::State::done;
-        }
-        next_campaign_ = std::max(next_campaign_, id + 1);
+        Camp &camp = addCampaign(id, std::move(spec), std::move(sink));
+        camp.sink->journal().open(false);
         if (cfg_.verbose)
             inform("fleet: resumed campaign %llu (%llu/%llu cells "
                    "journaled)",
                    static_cast<unsigned long long>(id),
-                   static_cast<unsigned long long>(camp->done_cells),
-                   static_cast<unsigned long long>(camp->spec.cells));
-        camps_.push_back(std::move(camp));
+                   static_cast<unsigned long long>(camp.sink->completed()),
+                   static_cast<unsigned long long>(camp.spec.cells));
     }
 }
 
@@ -879,10 +782,7 @@ bool
 Coordinator::waitCampaign(std::uint64_t id, int timeout_ms, Json *summary)
 {
     std::unique_lock<std::mutex> lock(mu_);
-    Camp *camp = nullptr;
-    for (auto &cp : camps_)
-        if (cp->id == id)
-            camp = cp.get();
+    Camp *camp = findCampaign(id);
     if (!camp)
         return false;
     const auto pred = [&] {
@@ -905,11 +805,8 @@ Coordinator::waitForWorkers(int n, int timeout_ms)
 {
     std::unique_lock<std::mutex> lock(mu_);
     const auto pred = [&] {
-        int alive = 0;
-        for (const auto &[id, c] : conns_)
-            if (c->role == Role::worker && !c->dead)
-                ++alive;
-        return alive >= n || stopping_.load(std::memory_order_relaxed);
+        return aliveWorkers() >= n ||
+               stopping_.load(std::memory_order_relaxed);
     };
     return state_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
                               pred) &&
@@ -933,13 +830,11 @@ Coordinator::campaignsCompleted() const
 }
 
 int
-Coordinator::workersConnected() const
+Coordinator::aliveWorkers() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
     int alive = 0;
     for (const auto &[id, c] : conns_)
-        if (c->role == Role::worker && !c->dead)
-            ++alive;
+        alive += c->role == Role::worker && !c->dead;
     return alive;
 }
 
@@ -947,12 +842,13 @@ Json
 Coordinator::campaignProgressJson(const Camp &camp) const
 {
     Json j = Json::object();
+    const ResultSink &sink = *camp.sink;
     j.set("cells", Json(camp.spec.cells));
-    j.set("done", Json(camp.done_cells));
-    j.set("ran", Json(camp.ran));
-    j.set("resumed", Json(camp.resumed));
-    j.set("hw", Json(camp.hw));
-    j.set("unique_failures", Json(camp.unique_failures));
+    j.set("done", Json(sink.completed()));
+    j.set("ran", Json(sink.sum(&ResultSink::Slot::ran)));
+    j.set("resumed", Json(sink.sum(&ResultSink::Slot::skipped)));
+    j.set("hw", Json(sink.verdicts(VerdictClass::hw)));
+    j.set("unique_failures", Json(sink.uniqueFailures()));
     std::uint64_t pending = 0, leased = 0, done = 0;
     for (const Shard &s : camp.shards) {
         if (s.state == Shard::State::pending)
@@ -976,12 +872,10 @@ Coordinator::progressJson() const
     std::lock_guard<std::mutex> lock(mu_);
     Json j = Json::object();
     j.set("proto", Json(fleet_proto_version));
-    int alive = 0;
     Json workers = Json::array();
     for (const auto &[id, c] : conns_) {
         if (c->role != Role::worker || c->dead)
             continue;
-        ++alive;
         Json w = Json::object();
         w.set("name", Json(c->name));
         w.set("jobs", Json(c->jobs));
@@ -990,7 +884,7 @@ Coordinator::progressJson() const
               Json(static_cast<std::uint64_t>(c->leases.size())));
         workers.push(std::move(w));
     }
-    j.set("workers_connected", Json(alive));
+    j.set("workers_connected", Json(aliveWorkers()));
     j.set("workers", std::move(workers));
     j.set("campaigns_completed", Json(completed_campaigns_));
     Json camps = Json::array();
@@ -1009,11 +903,7 @@ Coordinator::metricsJson() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     Json j = Json::object();
-    int alive = 0;
-    for (const auto &[id, c] : conns_)
-        if (c->role == Role::worker && !c->dead)
-            ++alive;
-    j.set("workers_connected", Json(alive));
+    j.set("workers_connected", Json(aliveWorkers()));
     j.set("campaigns_completed", Json(completed_campaigns_));
     j.set("leases_outstanding",
           Json(static_cast<std::uint64_t>(leases_.size())));
@@ -1028,12 +918,13 @@ Coordinator::metricsJson() const
     }
     for (const auto &cp : camps_) {
         Json c = Json::object();
+        const ResultSink &sink = *cp->sink;
         c.set("cells", Json(cp->spec.cells));
-        c.set("done_cells", Json(cp->done_cells));
-        c.set("ran", Json(cp->ran));
-        c.set("resumed", Json(cp->resumed));
-        c.set("hw", Json(cp->hw));
-        c.set("unique_failures", Json(cp->unique_failures));
+        c.set("done_cells", Json(sink.completed()));
+        c.set("ran", Json(sink.sum(&ResultSink::Slot::ran)));
+        c.set("resumed", Json(sink.sum(&ResultSink::Slot::skipped)));
+        c.set("hw", Json(sink.verdicts(VerdictClass::hw)));
+        c.set("unique_failures", Json(sink.uniqueFailures()));
         c.set("duplicate_results", Json(cp->duplicate_results));
         c.set("reassigned_leases", Json(cp->reassigned_leases));
         c.set("completed", Json(cp->completed ? 1 : 0));

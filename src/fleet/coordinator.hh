@@ -30,15 +30,13 @@
  *    cell lines' `idx` members rebuild the done set, and exactly the
  *    uncommitted indices are re-leased (Journal::resumeIndices()).
  *
- * Shrinking runs on the worker that caught the violation; the RESULT
- * carries the minimized `.wo` text back as failure evidence, and the
- * coordinator deduplicates fleet-wide by verdict kind + shrunk-program
- * hash -- the same identity the single-process campaign uses -- so a
- * bug found by many workers is still reported once.
- *
- * The optional httpd control plane (obs/httpd.hh) mounts /healthz,
- * /metrics and /progress with per-worker, per-campaign and per-shard
- * series, mirroring the in-process campaign's surface.
+ * The coordinator is the fleet's *lease source*: remote workers run
+ * the campaign's CellExecutor (campaign/executor.hh), shrinking a
+ * violation where they caught it, and each campaign's results feed a
+ * ResultSink (campaign/sink.hh), the same one the in-process engine
+ * feeds, which tallies them and deduplicates failures fleet-wide.  The
+ * optional control plane mounts /healthz, /metrics and /progress with
+ * per-worker, per-campaign and per-shard series.
  */
 
 #ifndef WO_FLEET_COORDINATOR_HH
@@ -55,7 +53,7 @@
 #include <thread>
 #include <vector>
 
-#include "campaign/journal.hh"
+#include "campaign/sink.hh"
 #include "fleet/proto.hh"
 
 namespace wo {
@@ -151,7 +149,6 @@ class Coordinator
     void waitDone();
 
     int campaignsCompleted() const;
-    int workersConnected() const;
 
     /** The /progress JSON document (also useful headless). */
     Json progressJson() const;
@@ -173,7 +170,6 @@ class Coordinator
         Role role = Role::unknown;
         std::string name;
         int jobs = 1;
-        std::uint64_t hw_threads = 0;
         std::chrono::steady_clock::time_point last_seen;
         std::vector<std::uint64_t> leases; //!< outstanding lease ids
         std::uint64_t cells_done = 0;
@@ -194,18 +190,12 @@ class Coordinator
         std::uint64_t id = 0;
         FleetCampaignSpec spec;
         std::string dir;
-        std::unique_ptr<Journal> journal;
+        /** Journal, tallies and failure filing (one slot: the pump). */
+        std::unique_ptr<ResultSink> sink;
         std::vector<std::uint8_t> done; //!< per base index
         std::vector<Shard> shards;
-        std::uint64_t done_cells = 0;
-        std::uint64_t resumed = 0; //!< indices replayed from the journal
-        std::uint64_t ran = 0;     //!< results merged by this process
-        std::uint64_t clean = 0, racy = 0, hw = 0;
-        std::uint64_t deadlocked = 0, livelocked = 0, errors = 0;
-        std::uint64_t unique_failures = 0;
         std::uint64_t duplicate_results = 0; //!< stale-lease drops
         std::uint64_t reassigned_leases = 0;
-        std::map<std::string, std::uint64_t> kind_counts;
         std::uint64_t client_conn = 0; //!< 0 = detached/local submit
         bool completed = false;
         Json summary;
@@ -218,12 +208,11 @@ class Coordinator
         std::uint64_t campaign = 0;
         std::size_t shard = 0;
         std::uint64_t conn = 0;
-        std::chrono::steady_clock::time_point granted;
     };
 
     struct Event
     {
-        enum class Kind : std::uint8_t { connected, message, closed };
+        enum class Kind : std::uint8_t { message, closed };
         Kind kind;
         std::uint64_t conn = 0;
         Json msg;
@@ -235,23 +224,28 @@ class Coordinator
     void pushEvent(Event ev);
 
     // All of the below run on the pump thread with mu_ held.
-    void handleMessage(std::uint64_t conn_id, const Json &msg);
+    void handleMessage(std::uint64_t conn_id, Json &msg);
     void handleHello(Conn &c, const Json &msg);
     void handleSubmit(Conn &c, const Json &msg);
-    void handleResult(Conn &c, const Json &msg);
+    void handleResult(Conn &c, Json &msg);
     void handleLeaseDone(Conn &c, const Json &msg);
+    /** Send @p text as an error line, then drop the connection. */
+    void reject(Conn &c, const std::string &text, const char *why);
     void dropConn(std::uint64_t conn_id, const char *why);
     void releaseLease(std::uint64_t lease_id);
     void grantLeases();
     void expireSilentWorkers();
     void sendClientProgress();
     void maybeCompleteCampaign(Camp &camp);
+    Camp &addCampaign(std::uint64_t id, FleetCampaignSpec spec,
+                      std::unique_ptr<ResultSink> sink);
     std::uint64_t enqueueCampaign(FleetCampaignSpec spec,
                                   std::uint64_t client_conn);
     void resumeFromOutDir();
+    Camp *findCampaign(std::uint64_t id);
     Camp *activeCampaign();
+    int aliveWorkers() const;
     Json campaignProgressJson(const Camp &camp) const;
-    Json buildSummary(const Camp &camp) const;
     void teardown(bool drain);
 
     CoordinatorCfg cfg_;

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <type_traits>
 
 #include "campaign/cell.hh"
 #include "common/logging.hh"
@@ -41,38 +42,6 @@ parseHostPort(const std::string &text, HostPort &out)
     return true;
 }
 
-Json
-fleetSpecToJson(const FleetCampaignSpec &spec)
-{
-    Json j = Json::object();
-    j.set("seed", Json(spec.seed));
-    j.set("cells", Json(spec.cells));
-    std::string pols;
-    for (OrderingPolicy p : spec.policies)
-        pols += std::string(pols.empty() ? "" : ",") + policyFlagName(p);
-    j.set("policies", Json(pols));
-    Json files = Json::array();
-    for (const auto &f : spec.program_files)
-        files.push(Json(f));
-    j.set("programs", std::move(files));
-    j.set("max_events", Json(spec.max_events));
-    j.set("shrink", Json(spec.shrink));
-    j.set("shrink_max_runs", Json(spec.shrink_max_runs));
-    j.set("inject_reserve_bug", Json(spec.inject_reserve_bug));
-    if (spec.verify) {
-        j.set("verify", Json(true));
-        std::string models;
-        for (const auto &m : spec.verify_models)
-            models += std::string(models.empty() ? "" : ",") + m;
-        j.set("verify_models", Json(models));
-        j.set("max_states", Json(spec.max_states));
-        j.set("explore_jobs",
-              Json(static_cast<std::uint64_t>(spec.explore_jobs)));
-        j.set("inject_axiom_bug", Json(spec.inject_axiom_bug));
-    }
-    return j;
-}
-
 bool
 fleetSpecFromJson(const Json &j, FleetCampaignSpec &out,
                   std::string *error)
@@ -85,77 +54,56 @@ fleetSpecFromJson(const Json &j, FleetCampaignSpec &out,
     if (!j.isObject())
         return fail("spec is not an object");
     FleetCampaignSpec spec;
-    if (const Json *v = j.find("seed"); v && v->isNumber())
-        spec.seed = v->uintValue();
-    if (const Json *v = j.find("cells"); v && v->isNumber())
-        spec.cells = v->uintValue();
+    const auto num = [&](const char *key, auto &field) {
+        if (const Json *v = j.find(key); v && v->isNumber())
+            field = static_cast<std::remove_reference_t<decltype(field)>>(
+                v->uintValue());
+    };
+    const auto flag = [&](const char *key, bool &field) {
+        if (const Json *v = j.find(key); v && v->isBool())
+            field = v->boolValue();
+    };
+    num("seed", spec.seed);
+    num("cells", spec.cells);
     if (spec.cells == 0)
         return fail("spec.cells must be positive");
-    if (const Json *v = j.find("policies"); v && v->isString()) {
-        std::string cur;
-        const std::string &text = v->stringValue();
-        for (std::size_t i = 0; i <= text.size(); ++i) {
-            if (i < text.size() && text[i] != ',') {
-                cur += text[i];
-                continue;
-            }
-            if (cur.empty())
-                continue;
-            OrderingPolicy p;
-            if (!parsePolicyName(cur, p))
-                return fail("unknown policy '" + cur + "'");
-            spec.policies.push_back(p);
-            cur.clear();
-        }
+    // The base stream crosses every cell with a policy, so an absent or
+    // empty list keeps the default campaign trio.
+    std::vector<OrderingPolicy> pols;
+    for (const std::string &name :
+         splitCommas(fleetString(j, "policies"))) {
+        OrderingPolicy p;
+        if (!parsePolicyName(name, p))
+            return fail("unknown policy '" + name + "'");
+        pols.push_back(p);
     }
-    // The base stream crosses every cell with a policy, so an empty
-    // list is never meaningful: default to the campaign trio.
-    if (spec.policies.empty())
-        spec.policies = {OrderingPolicy::sc, OrderingPolicy::wo_def1,
-                         OrderingPolicy::wo_drf0};
+    if (!pols.empty())
+        spec.policies = std::move(pols);
     if (const Json *v = j.find("programs"); v && v->isArray())
         for (const Json &f : v->items())
             if (f.isString())
                 spec.program_files.push_back(f.stringValue());
-    if (const Json *v = j.find("max_events"); v && v->isNumber())
-        spec.max_events = v->uintValue();
+    num("max_events", spec.max_events);
     if (spec.max_events == 0)
         return fail("spec.max_events must be positive");
-    if (const Json *v = j.find("shrink"); v && v->isBool())
-        spec.shrink = v->boolValue();
-    if (const Json *v = j.find("shrink_max_runs"); v && v->isNumber())
-        spec.shrink_max_runs = v->uintValue();
-    if (const Json *v = j.find("inject_reserve_bug"); v && v->isBool())
-        spec.inject_reserve_bug = v->boolValue();
-    if (const Json *v = j.find("verify"); v && v->isBool())
-        spec.verify = v->boolValue();
-    if (const Json *v = j.find("verify_models"); v && v->isString()) {
-        std::string cur;
-        const std::string &text = v->stringValue();
-        for (std::size_t i = 0; i <= text.size(); ++i) {
-            if (i < text.size() && text[i] != ',') {
-                cur += text[i];
-                continue;
-            }
-            if (cur.empty())
-                continue;
-            const auto &known = modelNames();
-            if (std::find(known.begin(), known.end(), cur) == known.end())
-                return fail("unknown model '" + cur + "'");
-            spec.verify_models.push_back(cur);
-            cur.clear();
-        }
+    flag("shrink", spec.shrink);
+    num("shrink_max_runs", spec.shrink_max_runs);
+    flag("inject_reserve_bug", spec.inject_reserve_bug);
+    flag("verify", spec.verify);
+    const auto &known = modelNames();
+    for (const std::string &name :
+         splitCommas(fleetString(j, "verify_models"))) {
+        if (std::find(known.begin(), known.end(), name) == known.end())
+            return fail("unknown model '" + name + "'");
+        spec.verify_models.push_back(name);
     }
-    if (const Json *v = j.find("max_states"); v && v->isNumber())
-        spec.max_states = v->uintValue();
+    num("max_states", spec.max_states);
     if (spec.max_states == 0)
         return fail("spec.max_states must be positive");
-    if (const Json *v = j.find("explore_jobs"); v && v->isNumber())
-        spec.explore_jobs = static_cast<int>(v->uintValue());
+    num("explore_jobs", spec.explore_jobs);
     if (spec.explore_jobs < 1)
         return fail("spec.explore_jobs must be positive");
-    if (const Json *v = j.find("inject_axiom_bug"); v && v->isBool())
-        spec.inject_axiom_bug = v->boolValue();
+    flag("inject_axiom_bug", spec.inject_axiom_bug);
     out = std::move(spec);
     return true;
 }
@@ -171,10 +119,46 @@ fleetMsg(const char *type)
 std::string
 fleetMsgType(const Json &j)
 {
-    if (!j.isObject())
-        return "";
-    const Json *t = j.find("type");
-    return t && t->isString() ? t->stringValue() : "";
+    return fleetString(j, "type");
+}
+
+std::uint64_t
+fleetUint(const Json &msg, const char *key)
+{
+    const Json *v = msg.find(key);
+    return v && v->isNumber() ? v->uintValue() : 0;
+}
+
+std::string
+fleetString(const Json &msg, const char *key)
+{
+    const Json *v = msg.find(key);
+    return v && v->isString() ? v->stringValue() : "";
+}
+
+bool
+fleetHello(LineConn &conn, Json hello, Json *reply, std::string *error)
+{
+    hello.set("proto", Json(fleet_proto_version));
+    if (!conn.writeLine(hello)) {
+        *error = "handshake write failed";
+        return false;
+    }
+    std::string line;
+    if (conn.readLine(line, 10'000) != LineConn::Read::line) {
+        *error = "no handshake reply";
+        return false;
+    }
+    JsonParseResult p = jsonParse(line);
+    if (!p.ok || fleetMsgType(p.value) != "hello_ok") {
+        *error = p.ok ? fleetString(p.value, "text") : "";
+        if (error->empty())
+            *error = "handshake rejected";
+        return false;
+    }
+    if (reply)
+        *reply = std::move(p.value);
+    return true;
 }
 
 // --- transport -------------------------------------------------------

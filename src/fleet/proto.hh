@@ -14,7 +14,7 @@
  * Message types (all objects carry `"type"`):
  *
  *   hello      peer -> coord   {proto, role:"worker"|"client", name,
- *                               jobs, hw_threads}
+ *                               jobs}
  *   hello_ok   coord -> peer   {proto, name}
  *   error      coord -> peer   {text}; the connection closes after it
  *   submit     client -> coord {spec:{...campaign spec...}}
@@ -22,6 +22,7 @@
  *   lease      coord -> worker {campaign, lease, shard, spec,
  *                               indices:[...]}
  *   result     worker -> coord {campaign, lease, idx, cell:{...},
+ *                               by_kind?:{kind: findings},
  *                               failure?:{kind, wo_text, insns,
  *                                          orig_insns, reproduced}}
  *   lease_done worker -> coord {campaign, lease}
@@ -46,13 +47,14 @@
 #include <string>
 #include <vector>
 
+#include "campaign/scheduler.hh"
 #include "obs/json.hh"
 #include "sys/policy.hh"
 
 namespace wo {
 
 /** Bump on any wire-visible change; hello carries it both ways. */
-constexpr std::uint64_t fleet_proto_version = 1;
+constexpr std::uint64_t fleet_proto_version = 2;
 
 /** A parsed `host:port` endpoint (the `--connect` surface). */
 struct HostPort
@@ -69,32 +71,19 @@ bool parseHostPort(const std::string &text, HostPort &out);
 
 /**
  * The portable campaign description a client submits and a lease
- * carries.  Deliberately a subset of CampaignCfg: everything here is
- * meaningful on a remote worker (no out-dir, no serve pointer, no
- * journal tuning -- those belong to the coordinator).
+ * carries: the campaign's cell spec (campaign/scheduler.hh).  No
+ * out-dir, serve pointer or journal tuning -- those belong to the
+ * coordinator.
  */
-struct FleetCampaignSpec
+using FleetCampaignSpec = CampaignSpec;
+
+/** Encode @p spec as the wire/journal-header JSON object (the name
+ *  pairs with fleetSpecFromJson; the encoder is campaignSpecJson). */
+inline Json
+fleetSpecToJson(const FleetCampaignSpec &spec)
 {
-    std::uint64_t seed = 1;
-    std::uint64_t cells = 200;
-    std::vector<OrderingPolicy> policies;
-    std::vector<std::string> program_files; //!< paths valid on workers
-    std::uint64_t max_events = 300'000;
-    bool shrink = true;
-    std::uint64_t shrink_max_runs = 500;
-    bool inject_reserve_bug = false;
-
-    // Verify campaigns (see campaign/verify.hh): workers model-check
-    // program x model cells instead of running timed simulations.
-    bool verify = false;
-    std::vector<std::string> verify_models; //!< empty = all models
-    std::uint64_t max_states = 200'000;     //!< per-engine budget
-    int explore_jobs = 1; //!< DPOR threads inside each verify cell
-    bool inject_axiom_bug = false;          //!< seeded divergence
-};
-
-/** Encode @p spec as the wire/journal-header JSON object. */
-Json fleetSpecToJson(const FleetCampaignSpec &spec);
+    return campaignSpecJson(spec);
+}
 
 /**
  * Decode a spec object (tolerates absent optional members).  False
@@ -109,6 +98,12 @@ Json fleetMsg(const char *type);
 
 /** The message's "type" member ("" when absent/malformed). */
 std::string fleetMsgType(const Json &j);
+
+/** Member @p key of @p msg as a number (0 when absent or not one). */
+std::uint64_t fleetUint(const Json &msg, const char *key);
+
+/** Member @p key of @p msg as a string ("" when absent or not one). */
+std::string fleetString(const Json &msg, const char *key);
 
 // --- transport -------------------------------------------------------
 
@@ -161,13 +156,20 @@ class LineConn
     /** Close the fd (idempotent). */
     void closeNow();
 
-    bool valid() const { return fd_ >= 0; }
-
   private:
     int fd_;
     std::string buf_;   //!< bytes received past the last full line
     std::mutex write_mu_;
 };
+
+/**
+ * Introduce this peer on @p conn: send @p hello (its `proto` stamped
+ * here) and wait for the coordinator's answer.  True on `hello_ok`
+ * (copied to @p reply when non-null); false with @p error set to the
+ * coordinator's reason, or to what went wrong on the wire.
+ */
+bool fleetHello(LineConn &conn, Json hello, Json *reply,
+                std::string *error);
 
 } // namespace wo
 

@@ -4,10 +4,7 @@
 #include <chrono>
 
 #include "campaign/fuzzer.hh"
-#include "campaign/shrink.hh"
-#include "campaign/verify.hh"
 #include "common/logging.hh"
-#include "obs/monitor.hh"
 
 namespace wo {
 
@@ -15,7 +12,9 @@ FleetWorker::FleetWorker(WorkerCfg cfg) : cfg_(std::move(cfg))
 {
     if (cfg_.jobs < 1)
         cfg_.jobs = 1;
-    caches_.resize(static_cast<std::size_t>(cfg_.jobs));
+    executors_.reserve(static_cast<std::size_t>(cfg_.jobs));
+    for (int i = 0; i < cfg_.jobs; ++i)
+        executors_.emplace_back(CampaignSpec{});
 }
 
 FleetWorker::~FleetWorker()
@@ -71,33 +70,14 @@ FleetWorker::connectAndRun()
     }
 
     Json hello = fleetMsg("hello");
-    hello.set("proto", Json(fleet_proto_version));
     hello.set("role", Json("worker"));
     hello.set("name", Json(cfg_.name));
     hello.set("jobs", Json(cfg_.jobs));
-    hello.set("hw_threads",
-              Json(static_cast<std::uint64_t>(
-                  std::thread::hardware_concurrency())));
-    if (!conn_->writeLine(hello)) {
-        error_ = "handshake write failed";
+    Json reply;
+    if (!fleetHello(*conn_, std::move(hello), &reply, &error_))
         return false;
-    }
-
-    std::string line;
-    if (conn_->readLine(line, 10'000) != LineConn::Read::line) {
-        error_ = "no handshake reply";
-        return false;
-    }
-    JsonParseResult hp = jsonParse(line);
-    if (!hp.ok || fleetMsgType(hp.value) != "hello_ok") {
-        const Json *text =
-            hp.ok ? hp.value.find("text") : nullptr;
-        error_ = text && text->isString() ? text->stringValue()
-                                          : "handshake rejected";
-        return false;
-    }
-    if (const Json *n = hp.value.find("name"); n && n->isString())
-        cfg_.name = n->stringValue();
+    if (const std::string name = fleetString(reply, "name"); !name.empty())
+        cfg_.name = name;
     if (cfg_.verbose)
         inform("fleet worker '%s': connected to %s:%u", cfg_.name.c_str(),
                cfg_.connect.host.c_str(),
@@ -105,6 +85,7 @@ FleetWorker::connectAndRun()
 
     heartbeat_ = std::thread([this] { heartbeatLoop(); });
 
+    std::string line;
     bool drained = false;
     while (!stop_.load(std::memory_order_relaxed)) {
         const LineConn::Read r = conn_->readLine(line, 500);
@@ -122,9 +103,9 @@ FleetWorker::connectAndRun()
             drained = true;
             break;
         } else if (type == "error") {
-            const Json *text = p.value.find("text");
-            error_ = text && text->isString() ? text->stringValue()
-                                              : "coordinator error";
+            error_ = fleetString(p.value, "text");
+            if (error_.empty())
+                error_ = "coordinator error";
             warn("fleet worker '%s': %s", cfg_.name.c_str(),
                  error_.c_str());
             break;
@@ -152,12 +133,8 @@ FleetWorker::executeLease(const Json &msg)
              why.empty() ? "bad indices" : why.c_str());
         return;
     }
-    const Json *camp_j = msg.find("campaign");
-    const Json *lease_j = msg.find("lease");
-    const std::uint64_t campaign =
-        camp_j && camp_j->isNumber() ? camp_j->uintValue() : 0;
-    const std::uint64_t lease =
-        lease_j && lease_j->isNumber() ? lease_j->uintValue() : 0;
+    const std::uint64_t campaign = fleetUint(msg, "campaign");
+    const std::uint64_t lease = fleetUint(msg, "lease");
 
     std::vector<std::uint64_t> indices;
     indices.reserve(indices_j->items().size());
@@ -165,21 +142,13 @@ FleetWorker::executeLease(const Json &msg)
         if (i.isNumber())
             indices.push_back(i.uintValue());
 
-    FuzzerCfg fcfg;
-    fcfg.seed = spec.seed;
-    fcfg.policies = spec.policies;
-    fcfg.program_files = spec.program_files;
-    fcfg.inject_reserve_bug = spec.inject_reserve_bug;
-    fcfg.verify = spec.verify;
-    fcfg.verify_models = spec.verify_models;
-    fcfg.max_states = spec.max_states;
-    fcfg.inject_axiom_bug = spec.inject_axiom_bug;
-    fcfg.explore_jobs = spec.explore_jobs;
-    const Fuzzer fuzzer(fcfg);
+    const Fuzzer fuzzer(spec);
+    for (CellExecutor &exec : executors_)
+        exec.configure(spec);
 
     std::atomic<std::size_t> cursor{0};
     auto slot_fn = [&](int slot) {
-        MaterializeCache &cache = caches_[static_cast<std::size_t>(slot)];
+        CellExecutor &exec = executors_[static_cast<std::size_t>(slot)];
         for (;;) {
             if (stop_.load(std::memory_order_relaxed))
                 return;
@@ -189,53 +158,29 @@ FleetWorker::executeLease(const Json &msg)
                 return;
             const std::uint64_t idx = indices[at];
             const Cell cell = fuzzer.baseCell(idx);
-            CellRun run = runCell(cell, spec.max_events,
-                                  EventQueueKind::calendar, &cache);
+            // Shrinking happens here, where the evidence is: only the
+            // minimized text travels, and the coordinator's dedup hash
+            // is computed over exactly this text.
+            const ExecutedCell x = exec.execute(cell, cell.key());
+            const CellResult &r = x.run.result;
 
             Json result = fleetMsg("result");
             result.set("campaign", Json(campaign));
             result.set("lease", Json(lease));
             result.set("idx", Json(idx));
-            result.set("cell", cellResultToJson(run.result));
-
-            ViolationKind kind;
-            if (run.result.hw > 0 && run.program &&
-                violationKindFromName(run.result.primary_kind, kind)) {
-                // Shrink where the evidence is: only the minimized
-                // text travels, and the coordinator's dedup hash is
-                // computed over exactly this text.  Verify findings
-                // shrink under the dual-engine predicate; run findings
-                // under the monitored timed run.
-                ShrinkCfg scfg;
-                scfg.max_runs = spec.shrink ? spec.shrink_max_runs : 1;
-                VerifyCfg vcfg;
-                vcfg.max_states = cell.max_states;
-                vcfg.jobs = cell.explore_jobs;
-                vcfg.axiom.inject_bug = cell.inject_axiom_bug;
-                const ShrinkOutcome s =
-                    cell.kind == CellKind::verify
-                        ? shrinkCounterexample(
-                              *run.program, run.warm,
-                              [&](const Program &p,
-                                  const std::vector<WarmTerm> &) {
-                                  return verifyReproduces(p, cell.model,
-                                                          kind, vcfg);
-                              },
-                              scfg)
-                        : shrinkCounterexample(
-                              *run.program, run.warm,
-                              cell.systemCfg(spec.max_events), kind,
-                              scfg, &cache);
+            result.set("cell", cellResultToJson(r));
+            if (r.total > 0)
+                result.set("by_kind", byKindJson(r.by_kind));
+            if (x.shrunk) {
                 Json failure = Json::object();
-                failure.set("kind", Json(run.result.primary_kind));
-                failure.set("wo_text", Json(s.wo_text));
-                failure.set(
-                    "insns",
-                    Json(static_cast<std::uint64_t>(s.instructions)));
+                failure.set("kind", Json(r.primary_kind));
+                failure.set("wo_text", Json(x.shrunk->wo_text));
+                failure.set("insns", Json(static_cast<std::uint64_t>(
+                                         x.shrunk->instructions)));
                 failure.set("orig_insns",
                             Json(static_cast<std::uint64_t>(
-                                s.orig_instructions)));
-                failure.set("reproduced", Json(s.reproduced));
+                                x.shrunk->orig_instructions)));
+                failure.set("reproduced", Json(x.shrunk->reproduced));
                 result.set("failure", std::move(failure));
             }
             if (!conn_->writeLine(result))

@@ -2,17 +2,18 @@
  * @file
  * The fleet worker: `wotool worker --connect host:port`.
  *
- * A worker is the in-process cell runner (campaign/cell.hh) wrapped in
- * the fleet protocol.  It connects, introduces itself, and then serves
- * leases: each lease names a campaign spec plus a list of base-stream
- * indices, and because the base stream is a pure function of
- * (seed, index) the worker regenerates exactly the cells the
+ * A worker is the campaign's cell executor (campaign/executor.hh)
+ * wrapped in the fleet protocol.  It connects, introduces itself, and
+ * then serves leases: each lease names a campaign spec plus a list of
+ * base-stream indices, and because the base stream is a pure function
+ * of (seed, index) the worker regenerates exactly the cells the
  * coordinator sharded -- no program bytes cross the wire.  Indices of
  * one lease run jobs-wide over an atomic cursor, every slot keeping a
- * persistent materialization cache across leases; each finished cell
- * streams back as one RESULT line, and a hardware verdict is shrunk
- * locally (ddmin, campaign/shrink.hh) so the line carries the
- * minimized `.wo` reproducer as evidence.  A heartbeat thread keeps
+ * persistent executor (materialization cache and machine) across
+ * leases; each finished cell streams back as one RESULT line with its
+ * monitor findings per kind, and a hardware verdict is shrunk locally
+ * by the executor so the line carries the minimized `.wo` reproducer
+ * as evidence.  A heartbeat thread keeps
  * the lease alive while long cells run.
  *
  * Lease execution is deliberately single-flight: the socket is the
@@ -33,7 +34,7 @@
 #include <thread>
 #include <vector>
 
-#include "campaign/cell.hh"
+#include "campaign/executor.hh"
 #include "fleet/proto.hh"
 
 namespace wo {
@@ -93,8 +94,9 @@ class FleetWorker
     std::unique_ptr<LineConn> conn_;
     std::mutex conn_mu_; //!< guards conn_ creation vs kill()
 
-    /** Per-slot materialization caches, persistent across leases. */
-    std::vector<MaterializeCache> caches_;
+    /** Per-slot executors (cache and machine), persistent across
+     *  leases. */
+    std::vector<CellExecutor> executors_;
 
     std::atomic<bool> stop_{false};
     std::atomic<std::uint64_t> cells_run_{0};

@@ -33,7 +33,9 @@
 #include "fleet/coordinator.hh"
 #include "fleet/proto.hh"
 #include "fleet/worker.hh"
+#include "obs/httpd.hh"
 #include "obs/json.hh"
+#include "obs/report.hh"
 
 namespace wo {
 namespace {
@@ -347,7 +349,7 @@ TEST(Fleet, VerdictParityWithSingleProcess)
 
     // Verdict tallies agree with the single-process summary.
     EXPECT_EQ(summary.find("clean")->uintValue(), local.clean);
-    EXPECT_EQ(summary.find("racy")->uintValue(), local.racy);
+    EXPECT_EQ(summary.find("race")->uintValue(), local.racy);
     EXPECT_EQ(summary.find("hw")->uintValue(), local.hw);
     ASSERT_GT(local.hw, 0u) << "seeded fault never fired; the parity "
                                "test lost its teeth";
@@ -362,6 +364,18 @@ TEST(Fleet, VerdictParityWithSingleProcess)
         fl_dedup.insert(f.find("dedup")->stringValue());
     EXPECT_EQ(fl_dedup, sp_dedup);
 
+    // Shrink provenance and monitor findings agree too: the fleet's
+    // by_kind counts findings per kind, exactly like the campaign's.
+    std::map<std::string, bool> sp_repro, fl_repro;
+    for (const FailureRecord &f : local.failures)
+        sp_repro[f.dedup] = f.reproduced;
+    for (const Json &f : summary.find("failures")->items())
+        fl_repro[f.find("dedup")->stringValue()] =
+            f.find("reproduced")->boolValue();
+    EXPECT_EQ(fl_repro, sp_repro);
+    EXPECT_EQ(summary.find("by_kind")->dump(),
+              local.toJson().find("by_kind")->dump());
+
     // The coordinator wrote a repro beside the merged journal.
     for (const Json &f : summary.find("failures")->items()) {
         const std::string path =
@@ -372,6 +386,186 @@ TEST(Fleet, VerdictParityWithSingleProcess)
             ".wo";
         EXPECT_FALSE(slurp(path).empty()) << path;
     }
+}
+
+/** Run @p spec on a loopback coordinator with one worker; the
+ *  campaign summary JSON. */
+Json
+runOnFleet(const FleetCampaignSpec &spec, const std::string &out_dir)
+{
+    CoordinatorCfg ccfg;
+    ccfg.out_dir = out_dir;
+    ccfg.shard_size = 8;
+    Coordinator coord(ccfg);
+    EXPECT_TRUE(coord.start()) << coord.lastError();
+    WorkerCfg wcfg;
+    wcfg.connect = {"127.0.0.1", coord.port()};
+    wcfg.heartbeat_ms = 100;
+    WorkerThread w(wcfg);
+    EXPECT_TRUE(coord.waitForWorkers(1, 10'000));
+    Json summary;
+    EXPECT_TRUE(coord.waitCampaign(coord.submitLocal(spec), 180'000,
+                                   &summary));
+    coord.stop();
+    return summary;
+}
+
+/** A small verify campaign: budget-tripped and non-SC cells included. */
+FleetCampaignSpec
+verifySpec(std::uint64_t cells)
+{
+    FleetCampaignSpec spec;
+    spec.seed = 5;
+    spec.cells = cells;
+    spec.verify = true;
+    spec.verify_models = {"sc", "wb"};
+    spec.max_states = 2000;
+    return spec;
+}
+
+/**
+ * Both transports classify verdicts the same way: a verify campaign's
+ * fleet summary counts its clean, inconclusive and non-SC cells like
+ * the in-process summary does, and every cell that ran lands in
+ * exactly one verdict class.
+ */
+TEST(Fleet, VerifyTalliesMatchSingleProcess)
+{
+    const FleetCampaignSpec spec = verifySpec(32);
+    CampaignCfg sp;
+    static_cast<CampaignSpec &>(sp) = spec;
+    sp.jobs = 2;
+    sp.frontier = false;
+    sp.out_dir = freshDir("fleet_verify_sp");
+    const CampaignSummary local = runCampaign(sp);
+    ASSERT_EQ(local.ran, spec.cells);
+    ASSERT_GT(local.inconclusive, 0u) << "no budget-tripped cell";
+    ASSERT_GT(local.nonsc, 0u) << "no non-SC cell";
+
+    const Json summary = runOnFleet(spec, freshDir("fleet_verify_fl"));
+    const auto count = [&](const char *key) {
+        const Json *v = summary.find(key);
+        return v && v->isNumber() ? v->uintValue() : ~std::uint64_t{0};
+    };
+    EXPECT_EQ(count("clean"), local.clean);
+    EXPECT_EQ(count("inconclusive"), local.inconclusive);
+    EXPECT_EQ(count("nonsc"), local.nonsc);
+    std::uint64_t classes = 0;
+    for (const char *k : {"clean", "race", "hw", "deadlock", "livelock",
+                          "error", "inconclusive", "nonsc"})
+        classes += count(k);
+    EXPECT_EQ(classes, count("ran"));
+    EXPECT_EQ(count("ran"), spec.cells);
+}
+
+/**
+ * A fleet campaign directory reports like an in-process one: its
+ * summary carries throughput and latency quantiles, so the dashboard
+ * shows a cells/s tile and a non-zero cell p50.
+ */
+TEST(Fleet, ReportOfAFleetDirectoryShowsLatency)
+{
+    const std::string dir = freshDir("fleet_report");
+    const Json summary = runOnFleet(verifySpec(16), dir);
+    ASSERT_GT(summary.find("lat_p50_ms")->numberValue(), 0.0);
+    ASSERT_GT(summary.find("cells_per_sec")->numberValue(), 0.0);
+
+    ReportCfg rcfg;
+    rcfg.out_dir = dir + "/c1";
+    std::string error;
+    const std::string path = writeCampaignReport(rcfg, &error);
+    ASSERT_FALSE(path.empty()) << error;
+    const std::string html = slurp(path);
+    EXPECT_NE(html.find("cells / s"), std::string::npos);
+    EXPECT_NE(html.find("cell p50 / p99 ms"), std::string::npos);
+    EXPECT_EQ(html.find(">0.00 / 0.00<"), std::string::npos);
+}
+
+/** GET @p path from 127.0.0.1:@p port; the whole response ("" when
+ *  the connection fails). */
+std::string
+httpGet(std::uint16_t port, const std::string &path)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in sa = {};
+    sa.sin_family = AF_INET;
+    sa.sin_port = htons(port);
+    sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    std::string out;
+    if (::connect(fd, reinterpret_cast<sockaddr *>(&sa), sizeof sa) == 0) {
+        const std::string req = "GET " + path + " HTTP/1.1\r\n\r\n";
+        ::send(fd, req.data(), req.size(), 0);
+        char buf[4096];
+        ssize_t n;
+        while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0)
+            out.append(buf, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    return out;
+}
+
+/**
+ * Both transports mount the same control plane, scraped here while
+ * their cells run: the in-process engine serves wo_campaign_* series,
+ * the coordinator wo_fleet_* ones, and both answer /healthz and
+ * /progress.
+ */
+TEST(Fleet, BothTransportsServeTheControlPlane)
+{
+    HttpServer local_srv;
+    ASSERT_TRUE(local_srv.start()) << local_srv.lastError();
+    CampaignCfg sp;
+    sp.jobs = 2;
+    sp.cells = 20'000;
+    sp.shrink = false;
+    sp.out_dir = freshDir("fleet_cp_sp");
+    sp.serve = &local_srv;
+    std::string local_metrics, local_health;
+    std::thread scraper([&] {
+        // Retry until the routes are mounted and a cell has run; the
+        // campaign stops the server when it returns.
+        for (int i = 0; i < 5'000; ++i) {
+            local_metrics = httpGet(local_srv.port(), "/metrics");
+            if (local_metrics.find("wo_campaign_cells_ran") !=
+                std::string::npos)
+                break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        local_health = httpGet(local_srv.port(), "/healthz");
+    });
+    runCampaign(sp);
+    scraper.join();
+    EXPECT_NE(local_metrics.find("wo_campaign_cells_ran"),
+              std::string::npos);
+    EXPECT_NE(local_metrics.find("wo_campaign_cell_latency_us_bucket"),
+              std::string::npos);
+
+    HttpServer fleet_srv;
+    ASSERT_TRUE(fleet_srv.start()) << fleet_srv.lastError();
+    CoordinatorCfg ccfg;
+    ccfg.out_dir = freshDir("fleet_cp_fl");
+    ccfg.serve = &fleet_srv;
+    Coordinator coord(ccfg);
+    ASSERT_TRUE(coord.start()) << coord.lastError();
+    WorkerCfg wcfg;
+    wcfg.connect = {"127.0.0.1", coord.port()};
+    WorkerThread w(wcfg);
+    ASSERT_TRUE(coord.waitForWorkers(1, 10'000));
+    FleetCampaignSpec spec;
+    spec.cells = 2'000;
+    spec.shrink = false;
+    const std::uint64_t id = coord.submitLocal(spec);
+    const std::string fleet_metrics = httpGet(fleet_srv.port(), "/metrics");
+    const std::string progress = httpGet(fleet_srv.port(), "/progress");
+    const std::string fleet_health = httpGet(fleet_srv.port(), "/healthz");
+    ASSERT_TRUE(coord.waitCampaign(id, 180'000));
+    coord.stop();
+    EXPECT_NE(fleet_metrics.find("wo_fleet_campaign_ran{campaign=\"1\"}"),
+              std::string::npos)
+        << fleet_metrics;
+    EXPECT_NE(progress.find("\"campaigns\""), std::string::npos);
+    EXPECT_NE(local_health.find("ok\n"), std::string::npos);
+    EXPECT_NE(fleet_health.find("ok\n"), std::string::npos);
 }
 
 /**
@@ -591,7 +785,7 @@ TEST(Fleet, CoordinatorRestartResumes)
     second.stop();
 
     // Only the complement re-ran; the journaled prefix was honored.
-    EXPECT_EQ(summary.find("resumed")->uintValue(), committed);
+    EXPECT_EQ(summary.find("skipped")->uintValue(), committed);
     EXPECT_EQ(summary.find("ran")->uintValue(), cells - committed);
     EXPECT_LE(w.worker.cellsRun(), cells - committed);
     EXPECT_EQ(journalIndices(out_dir + "/c1/campaign.journal.jsonl")
@@ -635,7 +829,7 @@ TEST(Fleet, ResumeOfCompleteJournalNeedsNoWorkers)
     Json summary;
     ASSERT_TRUE(second.waitCampaign(1, 10'000, &summary));
     second.stop();
-    EXPECT_EQ(summary.find("resumed")->uintValue(), 48u);
+    EXPECT_EQ(summary.find("skipped")->uintValue(), 48u);
     EXPECT_EQ(summary.find("ran")->uintValue(), 0u);
 }
 

@@ -52,28 +52,15 @@
  *     wotool stats   <file> [--policy sc|def1|drf0|drf0ro]
  *         Run and print the metrics JSON to stdout.
  *
- *     wotool campaign [--jobs N] [--cells N] [--time-budget SECS]
- *                     [--out-dir DIR] [--resume] [--policy LIST]
- *                     [--programs F1,F2,...] [--seed N] [--no-shrink]
- *                     [--max-events N] [--inject-reserve-bug]
- *                     [--verify] [--verify-models LIST]
- *                     [--max-states N] [--explore-jobs N]
- *                     [--inject-axiom-bug]
- *                     [--serve-port N] [--serve-addr A]
+ *     wotool campaign [--jobs N] [--cells N] [cell-spec options] [...]
  *         Bulk Definition-2 verification: fan a fuzzed stream of
- *         (program x policy x seed) cells over a work-stealing worker
- *         fleet, shrink every hardware violation to a minimal .wo
+ *         (program x policy x seed) cells -- or, with --verify,
+ *         model-checking (program x model) cells -- over work-stealing
+ *         workers, shrink every hardware violation to a minimal .wo
  *         reproducer, and journal everything so a killed campaign
  *         resumes where it stopped.  Exits nonzero iff a hardware
- *         violation survived shrinking.  --verify switches the stream
- *         to model-checking cells (program x model): DPOR vs BFS vs
- *         axiomatic-SC cross-checks whose disagreements auto-file
- *         shrunk reproducers the same way (see docs/EXPLORE.md);
- *         --inject-axiom-bug seeds a deliberate axiomatic bug to
- *         exercise that path end to end.  --serve-port mounts the live
- *         control plane (/healthz, /metrics, /progress, /events); run
- *         and monitor accept it too.  See docs/CAMPAIGN.md and
- *         docs/OBSERVABILITY.md.
+ *         violation survived shrinking.  The cell-spec options are
+ *         submit's too.  See docs/CAMPAIGN.md.
  *
  *     wotool report <out-dir> [--out F] [--title T] [--bench F,...]
  *         Merge a campaign's journal, summary, failure evidence and
@@ -249,6 +236,28 @@ parseDoubleOpt(int argc, char **argv, const char *name, double &out)
     if (end == v || *end || !(x >= 0))
         return badOpt(name, "a non-negative number", v);
     out = x;
+    return true;
+}
+
+/** The --profile / --profile-hz / --profile-out trio, shared by the
+ *  run and campaign configurations. */
+template <typename Cfg>
+bool
+parseProfileOpts(int argc, char **argv, Cfg &cfg)
+{
+    cfg.profile = flag(argc, argv, "--profile");
+    if (const char *v = opt(argc, argv, "--profile-hz")) {
+        cfg.profile = true;
+        cfg.profile_hz = std::strtod(v, nullptr);
+        if (!(cfg.profile_hz > 0)) {
+            std::fprintf(stderr, "--profile-hz must be positive\n");
+            return false;
+        }
+    }
+    if (const char *v = opt(argc, argv, "--profile-out")) {
+        cfg.profile = true;
+        cfg.profile_out = v;
+    }
     return true;
 }
 
@@ -544,21 +553,10 @@ parseRunCfg(int argc, char **argv, SystemCfg &cfg)
         static_cast<std::size_t>(flight_capacity);
     if (const char *v = opt(argc, argv, "--dump-on-fail"))
         cfg.dump_on_fail = v;
-    cfg.profile = flag(argc, argv, "--profile");
-    if (const char *v = opt(argc, argv, "--profile-hz")) {
-        cfg.profile = true;
-        cfg.profile_hz = std::strtod(v, nullptr);
-        if (!(cfg.profile_hz > 0)) {
-            std::fprintf(stderr, "--profile-hz must be positive\n");
-            return false;
-        }
-    }
-    if (const char *v = opt(argc, argv, "--profile-out")) {
-        cfg.profile = true;
-        cfg.profile_out = v;
-    } else if (cfg.profile) {
+    if (!parseProfileOpts(argc, argv, cfg))
+        return false;
+    if (cfg.profile && cfg.profile_out.empty())
         cfg.profile_out = "profile.folded.txt";
-    }
     // Fault injection, so a campaign-shrunk counterexample can be
     // replayed under the same (buggy) cache it was found on.
     if (flag(argc, argv, "--inject-reserve-bug"))
@@ -586,12 +584,20 @@ emitRunArtifacts(const SystemResult &r, int argc, char **argv)
     return 0;
 }
 
-/** Parse --serve-port/--serve-addr (call only when --serve-port is
- *  present).  Prints and returns false on a bad value. */
+/**
+ * Bind the control plane when --serve-port is given (@p out stays null
+ * otherwise) and announce its @p routes under @p tag.  Binding before
+ * any work starts makes an early scrape see zeros rather than a
+ * refused connection; the caller mounts the routes.  False (error
+ * printed; the caller exits 2) on a bad value or a bind failure.
+ */
 bool
-parseServeOpts(int argc, char **argv, HttpServerCfg &scfg)
+startControlPlane(int argc, char **argv, const char *tag,
+                  const char *routes, std::unique_ptr<HttpServer> &out)
 {
     const char *v = opt(argc, argv, "--serve-port");
+    if (!v)
+        return true;
     char *end = nullptr;
     const unsigned long p = std::strtoul(v, &end, 0);
     if (end == v || *end || p > 65535) {
@@ -599,9 +605,18 @@ parseServeOpts(int argc, char **argv, HttpServerCfg &scfg)
                              "(0 = ephemeral)\n");
         return false;
     }
+    HttpServerCfg scfg;
     scfg.port = static_cast<std::uint16_t>(p);
     if (const char *a = opt(argc, argv, "--serve-addr"))
         scfg.addr = a;
+    out = std::make_unique<HttpServer>(scfg);
+    if (!out->start()) {
+        std::fprintf(stderr, "cannot start control plane: %s\n",
+                     out->lastError().c_str());
+        return false;
+    }
+    std::fprintf(stderr, "[%s] control plane on http://%s:%u (%s)\n", tag,
+                 scfg.addr.c_str(), out->port(), routes);
     return true;
 }
 
@@ -617,17 +632,15 @@ parseServeOpts(int argc, char **argv, HttpServerCfg &scfg)
 class RunServe
 {
   public:
-    /// Parse the serve flags and bind.  Returns 0 when serving was not
-    /// requested, 1 on success, -1 on failure (error already printed;
-    /// the caller exits 2).
-    int maybeStart(int argc, char **argv)
+    /// Bind and mount when serving was requested.  False on failure
+    /// (error already printed; the caller exits 2).
+    bool start(int argc, char **argv)
     {
-        if (!opt(argc, argv, "--serve-port"))
-            return 0;
-        HttpServerCfg scfg;
-        if (!parseServeOpts(argc, argv, scfg))
-            return -1;
-        srv_ = std::make_unique<HttpServer>(scfg);
+        if (!startControlPlane(argc, argv, "serve",
+                               "/healthz /metrics /progress", srv_))
+            return false;
+        if (!srv_)
+            return true;
         srv_->handle("/healthz", [](const HttpRequest &) {
             HttpResponse r;
             r.body = "ok\n";
@@ -649,16 +662,7 @@ class RunServe
                 json_.empty() ? "{\"done\": false}\n" : json_ + "\n";
             return r;
         });
-        if (!srv_->start()) {
-            std::fprintf(stderr, "cannot start control plane: %s\n",
-                         srv_->lastError().c_str());
-            return -1;
-        }
-        std::fprintf(stderr,
-                     "[serve] control plane on http://%s:%u "
-                     "(/healthz /metrics /progress)\n",
-                     scfg.addr.c_str(), srv_->port());
-        return 1;
+        return true;
     }
 
     /// Publish the finished run's metrics tree to /metrics + /progress.
@@ -692,7 +696,7 @@ cmdRun(const AsmResult &a, int argc, char **argv)
     cfg.trace = trace_json || trace_jsonl;
 
     RunServe serve;
-    if (serve.maybeStart(argc, argv) < 0)
+    if (!serve.start(argc, argv))
         return 2;
     System sys(prog, cfg);
     for (const auto &w : a.warm)
@@ -775,7 +779,7 @@ cmdMonitor(const AsmResult &a, int argc, char **argv)
     cfg.monitor = true;
 
     RunServe serve;
-    if (serve.maybeStart(argc, argv) < 0)
+    if (!serve.start(argc, argv))
         return 2;
     System sys(prog, cfg);
     for (const auto &w : a.warm)
@@ -893,253 +897,8 @@ cmdAnalyzeTrace(const char *path)
     return sc.sc ? 0 : 1;
 }
 
-/** Split @p text at commas, dropping empty pieces. */
-std::vector<std::string>
-splitCommas(const char *text)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char *p = text;; ++p) {
-        if (*p == ',' || *p == '\0') {
-            if (!cur.empty())
-                out.push_back(cur);
-            cur.clear();
-            if (*p == '\0')
-                break;
-        } else {
-            cur += *p;
-        }
-    }
-    return out;
-}
-
-int
-cmdCampaign(const AsmResult *, int argc, char **argv)
-{
-    CampaignCfg cfg;
-    if (!parseIntOpt(argc, argv, "--jobs", 1, cfg.jobs) ||
-        !parseIntOpt(argc, argv, "--explore-jobs", 1,
-                     cfg.explore_jobs) ||
-        !parseU64Opt(argc, argv, "--cells", 1, cfg.cells) ||
-        !parseDoubleOpt(argc, argv, "--time-budget",
-                        cfg.time_budget_s) ||
-        !parseU64Opt(argc, argv, "--seed", 0, cfg.seed) ||
-        !parseU64Opt(argc, argv, "--max-events", 1, cfg.max_events) ||
-        !parseU64Opt(argc, argv, "--sync-every", 1, cfg.sync_every) ||
-        !parseU64Opt(argc, argv, "--shrink-max-runs", 1,
-                     cfg.shrink_max_runs))
-        return 2;
-    if (const char *v = opt(argc, argv, "--out-dir"))
-        cfg.out_dir = v;
-    if (const char *v = opt(argc, argv, "--journal"))
-        cfg.journal_path = v;
-    if (const char *v = opt(argc, argv, "--policy")) {
-        cfg.policies.clear();
-        for (const auto &name : splitCommas(v)) {
-            OrderingPolicy p;
-            if (!parsePolicyName(name, p)) {
-                std::fprintf(stderr, "unknown policy '%s'\n",
-                             name.c_str());
-                return 2;
-            }
-            cfg.policies.push_back(p);
-        }
-        if (cfg.policies.empty()) {
-            std::fprintf(stderr, "--policy needs at least one name\n");
-            return 2;
-        }
-    }
-    if (const char *v = opt(argc, argv, "--programs"))
-        cfg.program_files = splitCommas(v);
-    // Verify campaigns: model-check program x model cells (dual-engine
-    // explorer + axiomatic cross-check) instead of timed simulations.
-    cfg.verify = flag(argc, argv, "--verify");
-    if (const char *v = opt(argc, argv, "--verify-models")) {
-        cfg.verify = true;
-        for (const auto &name : splitCommas(v)) {
-            if (!knownModel(name)) {
-                badOpt("--verify-models",
-                       "a comma list of sc|wb|net|stale|def1|drf0|"
-                       "drf0ro",
-                       name.c_str());
-                return 2;
-            }
-            cfg.verify_models.push_back(name);
-        }
-        if (cfg.verify_models.empty()) {
-            badOpt("--verify-models", "at least one model name", v);
-            return 2;
-        }
-    }
-    if (flag(argc, argv, "--inject-axiom-bug")) {
-        cfg.verify = true;
-        cfg.inject_axiom_bug = true;
-    }
-    if (!parseU64Opt(argc, argv, "--max-states", 1, cfg.max_states))
-        return 2;
-    cfg.shrink = !flag(argc, argv, "--no-shrink");
-    cfg.frontier = !flag(argc, argv, "--no-frontier");
-    cfg.resume = flag(argc, argv, "--resume");
-    cfg.inject_reserve_bug = flag(argc, argv, "--inject-reserve-bug");
-    cfg.legacy_queue = flag(argc, argv, "--legacy-queue");
-    cfg.profile = flag(argc, argv, "--profile");
-    if (const char *v = opt(argc, argv, "--profile-hz")) {
-        cfg.profile = true;
-        cfg.profile_hz = std::strtod(v, nullptr);
-        if (!(cfg.profile_hz > 0)) {
-            std::fprintf(stderr, "--profile-hz must be positive\n");
-            return 2;
-        }
-    }
-    if (const char *v = opt(argc, argv, "--profile-out")) {
-        cfg.profile = true;
-        cfg.profile_out = v;
-    }
-    cfg.progress = isatty(fileno(stderr)) != 0;
-
-    // The live control plane: bind before the fleet spawns so an
-    // early scrape sees zeros rather than a refused connection.
-    // runCampaign mounts the routes and stops the server before
-    // returning, so its handlers never outlive the engine.
-    std::unique_ptr<HttpServer> server;
-    if (opt(argc, argv, "--serve-port")) {
-        HttpServerCfg scfg;
-        if (!parseServeOpts(argc, argv, scfg))
-            return 2;
-        server = std::make_unique<HttpServer>(scfg);
-        if (!server->start()) {
-            std::fprintf(stderr, "cannot start control plane: %s\n",
-                         server->lastError().c_str());
-            return 2;
-        }
-        std::fprintf(stderr,
-                     "[campaign] control plane on http://%s:%u "
-                     "(/healthz /metrics /progress /events)\n",
-                     scfg.addr.c_str(), server->port());
-        cfg.serve = server.get();
-    }
-
-    CampaignSummary sum = runCampaign(cfg);
-    std::fputs(sum.table().c_str(), stdout);
-    return sum.hardwareClean() ? 0 : 1;
-}
-
-int
-cmdReport(const AsmResult *, int argc, char **argv)
-{
-    if (argc < 3 || argv[2][0] == '-') {
-        std::fprintf(stderr,
-                     "report wants a campaign out-dir argument\n");
-        return 2;
-    }
-    ReportCfg cfg;
-    cfg.out_dir = argv[2];
-    if (const char *v = opt(argc, argv, "--out"))
-        cfg.html_path = v;
-    if (const char *v = opt(argc, argv, "--title"))
-        cfg.title = v;
-    if (const char *v = opt(argc, argv, "--bench"))
-        cfg.bench_files = splitCommas(v);
-    std::string error;
-    const std::string path = writeCampaignReport(cfg, &error);
-    if (path.empty()) {
-        std::fprintf(stderr, "report: %s\n", error.c_str());
-        return 2;
-    }
-    std::printf("wrote campaign report to %s\n", path.c_str());
-    return 0;
-}
-
-// --- the distributed fleet (src/fleet/, docs/FLEET.md) ---------------
-
-int
-cmdServe(const AsmResult *, int argc, char **argv)
-{
-    CoordinatorCfg cfg;
-    std::uint64_t port = 0;
-    int lease_timeout = cfg.lease_timeout_ms;
-    if (!parseU64Opt(argc, argv, "--port", 0, port) ||
-        !parseU64Opt(argc, argv, "--shard-size", 1, cfg.shard_size) ||
-        !parseIntOpt(argc, argv, "--lease-timeout", 1, lease_timeout) ||
-        !parseIntOpt(argc, argv, "--max-outstanding", 1,
-                     cfg.max_outstanding) ||
-        !parseU64Opt(argc, argv, "--sync-every", 1, cfg.sync_every) ||
-        !parseIntOpt(argc, argv, "--max-campaigns", 0,
-                     cfg.max_campaigns))
-        return 2;
-    if (port > 65535) {
-        badOpt("--port", "a port in 0..65535 (0 = ephemeral)",
-               opt(argc, argv, "--port"));
-        return 2;
-    }
-    cfg.port = static_cast<std::uint16_t>(port);
-    cfg.lease_timeout_ms = lease_timeout;
-    if (const char *v = opt(argc, argv, "--addr"))
-        cfg.addr = v;
-    if (const char *v = opt(argc, argv, "--out-dir"))
-        cfg.out_dir = v;
-    cfg.resume = flag(argc, argv, "--resume");
-    cfg.verbose = flag(argc, argv, "--verbose");
-
-    std::unique_ptr<HttpServer> server;
-    if (opt(argc, argv, "--serve-port")) {
-        HttpServerCfg scfg;
-        if (!parseServeOpts(argc, argv, scfg))
-            return 2;
-        server = std::make_unique<HttpServer>(scfg);
-        if (!server->start()) {
-            std::fprintf(stderr, "cannot start control plane: %s\n",
-                         server->lastError().c_str());
-            return 2;
-        }
-        std::fprintf(stderr,
-                     "[serve] control plane on http://%s:%u "
-                     "(/healthz /metrics /progress)\n",
-                     scfg.addr.c_str(), server->port());
-        cfg.serve = server.get();
-    }
-
-    Coordinator coord(cfg);
-    if (!coord.start()) {
-        std::fprintf(stderr, "serve: %s\n", coord.lastError().c_str());
-        return 2;
-    }
-    // Scripts (and the CI smoke job) discover an ephemeral port here.
-    writeFile(cfg.out_dir + "/serve.port",
-              strprintf("%u\n", coord.port()));
-    std::fprintf(stderr,
-                 "[serve] fleet coordinator on %s:%u (out-dir %s)\n",
-                 cfg.addr.c_str(), coord.port(), cfg.out_dir.c_str());
-    coord.waitDone();
-    coord.stop();
-    std::fprintf(stderr, "[serve] done: %d campaign(s) completed\n",
-                 coord.campaignsCompleted());
-    return 0;
-}
-
-int
-cmdWorker(const AsmResult *, int argc, char **argv)
-{
-    WorkerCfg cfg;
-    if (!parseConnectOpt(argc, argv, cfg.connect) ||
-        !parseIntOpt(argc, argv, "--jobs", 1, cfg.jobs) ||
-        !parseIntOpt(argc, argv, "--heartbeat-ms", 1, cfg.heartbeat_ms))
-        return 2;
-    if (const char *v = opt(argc, argv, "--name"))
-        cfg.name = v;
-    cfg.verbose = !flag(argc, argv, "--quiet");
-
-    FleetWorker worker(cfg);
-    if (!worker.connectAndRun()) {
-        std::fprintf(stderr, "worker: %s\n",
-                     worker.lastError().c_str());
-        return 1;
-    }
-    return 0;
-}
-
-/** The portable campaign-spec options shared by submit (and only it:
- *  serve owns no spec, leases carry one verbatim). */
+/** The portable cell-spec options shared by campaign and submit
+ *  (serve owns no spec, leases carry one verbatim). */
 bool
 parseFleetSpec(int argc, char **argv, FleetCampaignSpec &spec)
 {
@@ -1190,6 +949,142 @@ parseFleetSpec(int argc, char **argv, FleetCampaignSpec &spec)
                      spec.explore_jobs))
         return false;
     return true;
+}
+
+int
+cmdCampaign(const AsmResult *, int argc, char **argv)
+{
+    // The cell-spec options are the fleet's: one parser, one set of
+    // diagnostics for both transports.
+    CampaignCfg cfg;
+    if (!parseFleetSpec(argc, argv, cfg) ||
+        !parseIntOpt(argc, argv, "--jobs", 1, cfg.jobs) ||
+        !parseDoubleOpt(argc, argv, "--time-budget",
+                        cfg.time_budget_s) ||
+        !parseU64Opt(argc, argv, "--sync-every", 1, cfg.sync_every))
+        return 2;
+    if (const char *v = opt(argc, argv, "--out-dir"))
+        cfg.out_dir = v;
+    if (const char *v = opt(argc, argv, "--journal"))
+        cfg.journal_path = v;
+    cfg.frontier = !flag(argc, argv, "--no-frontier");
+    cfg.resume = flag(argc, argv, "--resume");
+    if (!parseProfileOpts(argc, argv, cfg))
+        return 2;
+    cfg.progress = isatty(fileno(stderr)) != 0;
+
+    // runCampaign mounts the routes and stops the server before
+    // returning, so its handlers never outlive the engine.
+    std::unique_ptr<HttpServer> server;
+    if (!startControlPlane(argc, argv, "campaign",
+                           "/healthz /metrics /progress /events", server))
+        return 2;
+    cfg.serve = server.get();
+
+    CampaignSummary sum = runCampaign(cfg);
+    std::fputs(sum.table().c_str(), stdout);
+    return sum.hardwareClean() ? 0 : 1;
+}
+
+int
+cmdReport(const AsmResult *, int argc, char **argv)
+{
+    if (argc < 3 || argv[2][0] == '-') {
+        std::fprintf(stderr,
+                     "report wants a campaign out-dir argument\n");
+        return 2;
+    }
+    ReportCfg cfg;
+    cfg.out_dir = argv[2];
+    if (const char *v = opt(argc, argv, "--out"))
+        cfg.html_path = v;
+    if (const char *v = opt(argc, argv, "--title"))
+        cfg.title = v;
+    if (const char *v = opt(argc, argv, "--bench"))
+        cfg.bench_files = splitCommas(v);
+    std::string error;
+    const std::string path = writeCampaignReport(cfg, &error);
+    if (path.empty()) {
+        std::fprintf(stderr, "report: %s\n", error.c_str());
+        return 2;
+    }
+    std::printf("wrote campaign report to %s\n", path.c_str());
+    return 0;
+}
+
+// --- the distributed fleet (src/fleet/, docs/FLEET.md) ---------------
+
+int
+cmdServe(const AsmResult *, int argc, char **argv)
+{
+    CoordinatorCfg cfg;
+    std::uint64_t port = 0;
+    if (!parseU64Opt(argc, argv, "--port", 0, port) ||
+        !parseU64Opt(argc, argv, "--shard-size", 1, cfg.shard_size) ||
+        !parseIntOpt(argc, argv, "--lease-timeout", 1,
+                     cfg.lease_timeout_ms) ||
+        !parseIntOpt(argc, argv, "--max-outstanding", 1,
+                     cfg.max_outstanding) ||
+        !parseU64Opt(argc, argv, "--sync-every", 1, cfg.sync_every) ||
+        !parseIntOpt(argc, argv, "--max-campaigns", 0,
+                     cfg.max_campaigns))
+        return 2;
+    if (port > 65535) {
+        badOpt("--port", "a port in 0..65535 (0 = ephemeral)",
+               opt(argc, argv, "--port"));
+        return 2;
+    }
+    cfg.port = static_cast<std::uint16_t>(port);
+    if (const char *v = opt(argc, argv, "--addr"))
+        cfg.addr = v;
+    if (const char *v = opt(argc, argv, "--out-dir"))
+        cfg.out_dir = v;
+    cfg.resume = flag(argc, argv, "--resume");
+    cfg.verbose = flag(argc, argv, "--verbose");
+
+    std::unique_ptr<HttpServer> server;
+    if (!startControlPlane(argc, argv, "serve",
+                           "/healthz /metrics /progress", server))
+        return 2;
+    cfg.serve = server.get();
+
+    Coordinator coord(cfg);
+    if (!coord.start()) {
+        std::fprintf(stderr, "serve: %s\n", coord.lastError().c_str());
+        return 2;
+    }
+    // Scripts (and the CI smoke job) discover an ephemeral port here.
+    writeFile(cfg.out_dir + "/serve.port",
+              strprintf("%u\n", coord.port()));
+    std::fprintf(stderr,
+                 "[serve] fleet coordinator on %s:%u (out-dir %s)\n",
+                 cfg.addr.c_str(), coord.port(), cfg.out_dir.c_str());
+    coord.waitDone();
+    coord.stop();
+    std::fprintf(stderr, "[serve] done: %d campaign(s) completed\n",
+                 coord.campaignsCompleted());
+    return 0;
+}
+
+int
+cmdWorker(const AsmResult *, int argc, char **argv)
+{
+    WorkerCfg cfg;
+    if (!parseConnectOpt(argc, argv, cfg.connect) ||
+        !parseIntOpt(argc, argv, "--jobs", 1, cfg.jobs) ||
+        !parseIntOpt(argc, argv, "--heartbeat-ms", 1, cfg.heartbeat_ms))
+        return 2;
+    if (const char *v = opt(argc, argv, "--name"))
+        cfg.name = v;
+    cfg.verbose = !flag(argc, argv, "--quiet");
+
+    FleetWorker worker(cfg);
+    if (!worker.connectAndRun()) {
+        std::fprintf(stderr, "worker: %s\n",
+                     worker.lastError().c_str());
+        return 1;
+    }
+    return 0;
 }
 
 int
@@ -1338,7 +1233,6 @@ const Command commands[] = {
      "           [--verify] [--verify-models sc,wb,net,...]\n"
      "           [--max-states N] [--explore-jobs N]\n"
      "           [--inject-axiom-bug]\n"
-     "           [--legacy-queue]\n"
      "           [--profile] [--profile-hz N] [--profile-out F]\n"
      "           [--serve-port N] [--serve-addr A]\n"
      "           (bulk verification; exit 1 iff a hardware violation\n"
