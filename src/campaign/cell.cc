@@ -1,6 +1,5 @@
 #include "cell.hh"
 
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -82,15 +81,6 @@ policyFlagName(OrderingPolicy p)
 
 namespace {
 
-/** Append @p v in decimal. */
-void
-appendUint(std::string &out, std::uint64_t v)
-{
-    char buf[24];
-    const auto res = std::to_chars(buf, buf + sizeof buf, v);
-    out.append(buf, res.ptr);
-}
-
 /** Keys are embedded in JSONL unescaped: keep them to a safe charset. */
 std::string
 sanitizeSpec(const std::string &spec)
@@ -146,11 +136,11 @@ Cell::key() const
     }
     std::string k = programId();
     k += "|n";
-    appendUint(k, net_seed);
+    appendDecimal(k, net_seed);
     k += "|h";
-    appendUint(k, hop);
+    appendDecimal(k, hop);
     k += "|j";
-    appendUint(k, jitter);
+    appendDecimal(k, jitter);
     if (inject_reserve_bug)
         k += "|BUG";
     return k;
@@ -388,7 +378,7 @@ appendCellResultJson(std::string &out, const CellResult &r)
     };
     auto num = [&](const char *member, std::uint64_t v) {
         out += member;
-        appendUint(out, v);
+        appendDecimal(out, v);
     };
     str("{\"key\":", r.key);
     if (r.hw > 0) {
@@ -495,8 +485,10 @@ runCell(const Cell &cell, std::string key, std::uint64_t max_events,
         // the frontier's novelty tracking sees outcome-set changes
         // across program shapes exactly like it does for run cells.
         std::string sig_src;
-        for (const auto &o : v.dpor.outcomes)
-            sig_src += o.toString() + "\n";
+        for (const auto &o : v.dpor.outcomes) {
+            o.appendTo(sig_src);
+            sig_src += '\n';
+        }
         r.outcome_sig = fnv1aHex(sig_src);
         run.verify_detail = v.detail();
         return run;
@@ -521,7 +513,11 @@ runCell(const Cell &cell, std::string key, std::uint64_t max_events,
     r.deadlocked = sr.deadlocked;
     r.livelocked = sr.livelocked;
     r.finish_tick = sr.finish_tick;
-    r.outcome_sig = fnv1aHex(sr.outcome.toString());
+    // The signature text is formatted into this thread's reused buffer.
+    thread_local std::string sig_text;
+    sig_text.clear();
+    sr.outcome.appendTo(sig_text);
+    r.outcome_sig = fnv1aHex(sig_text);
 
     const Monitor *mon = sys.monitor();
     MonitorSummary s = mon->summary();

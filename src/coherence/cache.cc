@@ -105,7 +105,7 @@ Cache::start(const CacheReq &req)
 
     if (!as_write) {
         if (line.st != LineState::invalid) {
-            stats_.counter("read_hits").inc();
+            read_hits_.inc();
             commit(req, cfg_.hit_latency, /*performed_now=*/true);
         } else {
             sendMiss(req, /*exclusive=*/false);
@@ -117,9 +117,9 @@ Cache::start(const CacheReq &req)
         // MESI silent upgrade: an exclusive-clean line becomes modified
         // with no protocol traffic.
         if (line.st == LineState::exclusive_clean)
-            stats_.counter("silent_upgrades").inc();
+            silent_upgrades_.inc();
         line.st = LineState::modified;
-        stats_.counter("write_hits").inc();
+        write_hits_.inc();
         commit(req, cfg_.hit_latency, /*performed_now=*/true);
         return;
     }
@@ -144,7 +144,7 @@ Cache::commit(const CacheReq &req, Tick delay, bool performed_now)
     if (req.is_sync && write_path && counter_ > 0) {
         if (!isReserved(req.addr))
             reserved_.push_back(req.addr);
-        stats_.counter("reservations").inc();
+        reservations_.inc();
         if (Obs *obs = eq_.obs())
             obs->reserveSet(id_, req.addr, eq_.now());
     }
@@ -176,7 +176,7 @@ Cache::sendMiss(const CacheReq &req, bool exclusive)
     if (cfg_.reserved_miss_limit >= 0 && !reserved_.empty() &&
         reserved_window_misses_ >= cfg_.reserved_miss_limit) {
         deferred_.push_back(req);
-        stats_.counter("throttled_misses").inc();
+        throttled_misses_.inc();
         return;
     }
     if (!reserved_.empty())
@@ -191,7 +191,7 @@ Cache::sendMiss(const CacheReq &req, bool exclusive)
     ++live_mshrs_;
     ++counter_;
     ++misses_in_flight_;
-    stats_.counter(exclusive ? "write_misses" : "read_misses").inc();
+    (exclusive ? write_misses_ : read_misses_).inc();
     if (Obs *obs = eq_.obs()) {
         obs->reqMiss(id_, req.id);
         obs->counterChanged(id_, counter_, eq_.now());
@@ -218,10 +218,10 @@ Cache::decrementCounter()
         // observable -- unless the seeded fault drops the clear.
         if (!reserved_.empty()) {
             if (cfg_.bug_drop_reserve_clear) {
-                stats_.counter("dropped_reserve_clears").inc();
+                dropped_reserve_clears_.inc();
             } else {
                 reserved_.clear();
-                stats_.counter("reserve_clears").inc();
+                reserve_clears_.inc();
                 if (Obs *obs = eq_.obs())
                     obs->reserveCleared(id_, eq_.now());
             }
@@ -280,7 +280,7 @@ Cache::serveForward(const Message &msg)
         return;
     }
     if (mustStall(msg)) {
-        stats_.counter("reserve_stalls").inc();
+        reserve_stalls_.inc();
         // The requester's pending miss is now reserve-blocked; let the
         // profiler attribute that processor's wait to the reserve bit.
         if (Obs *obs = eq_.obs())
@@ -351,8 +351,7 @@ Cache::handleData(const Message &msg)
     queued_scratch_.swap(m.queued_reqs);
     fwds_scratch_.swap(m.queued_fwds);
     --misses_in_flight_;
-    stats_.histogram(m.want_exclusive ? "write_miss_latency"
-                                      : "read_miss_latency")
+    (m.want_exclusive ? write_miss_latency_ : read_miss_latency_)
         .sample(eq_.now() - m.issued);
 
     Line &line = lines_[msg.addr];
@@ -416,7 +415,7 @@ Cache::handleInv(const Message &msg)
               "invalidation for exclusive line %u at cache %u", msg.addr,
               id_);
     line.st = LineState::invalid;
-    stats_.counter("invalidations").inc();
+    invalidations_.inc();
     Message ack;
     ack.type = MsgType::inv_ack;
     ack.src = id_;
@@ -432,7 +431,7 @@ Cache::handleNack(const Message &msg)
     Mshr &m = mshrs_[msg.addr];
     wo_assert(m.live, "nack for %u with no MSHR at cache %u", msg.addr,
               id_);
-    stats_.counter("nacks").inc();
+    nacks_.inc();
     if (Obs *obs = eq_.obs())
         obs->reqNack(id_, m.req.id);
     // The miss failed for now: it no longer counts as outstanding, which

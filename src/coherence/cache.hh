@@ -240,6 +240,25 @@ class Cache : public MsgHandler
     std::vector<Message> fwds_scratch_;
     std::vector<Message> stalled_scratch_;
     StatGroup stats_;
+    // Handles into stats_, resolved once: per-event increments skip the
+    // name lookup.
+    Counter &read_hits_ = stats_.counterHandle("read_hits");
+    Counter &write_hits_ = stats_.counterHandle("write_hits");
+    Counter &silent_upgrades_ = stats_.counterHandle("silent_upgrades");
+    Counter &read_misses_ = stats_.counterHandle("read_misses");
+    Counter &write_misses_ = stats_.counterHandle("write_misses");
+    Counter &throttled_misses_ = stats_.counterHandle("throttled_misses");
+    Counter &reservations_ = stats_.counterHandle("reservations");
+    Counter &reserve_clears_ = stats_.counterHandle("reserve_clears");
+    Counter &dropped_reserve_clears_ =
+        stats_.counterHandle("dropped_reserve_clears");
+    Counter &reserve_stalls_ = stats_.counterHandle("reserve_stalls");
+    Counter &invalidations_ = stats_.counterHandle("invalidations");
+    Counter &nacks_ = stats_.counterHandle("nacks");
+    Histogram &read_miss_latency_ =
+        stats_.histogramHandle("read_miss_latency");
+    Histogram &write_miss_latency_ =
+        stats_.histogramHandle("write_miss_latency");
 };
 
 } // namespace wo

@@ -106,7 +106,7 @@ Directory::handleGetS(const Message &msg)
         l.waiting.push_back(msg);
         return;
     }
-    stats_.counter("get_s").inc();
+    get_s_.inc();
     switch (l.st) {
       case LineState::uncached:
         if (cfg_.grant_exclusive_clean) {
@@ -161,7 +161,7 @@ Directory::handleGetX(const Message &msg)
         l.waiting.push_back(msg);
         return;
     }
-    stats_.counter("get_x").inc();
+    get_x_.inc();
     switch (l.st) {
       case LineState::uncached: {
         l.st = LineState::exclusive;
@@ -314,7 +314,7 @@ Directory::handleNack(const Message &msg)
     // transaction and bounce the requester.
     DirLine &l = line(msg.addr);
     wo_assert(l.busy, "owner Nack for idle line %u", msg.addr);
-    stats_.counter("nacks_relayed").inc();
+    nacks_relayed_.inc();
     Message n;
     n.type = MsgType::nack;
     n.src = id_;

@@ -132,6 +132,11 @@ class Directory : public MsgHandler
     /** Only grows: lines past nlines_ are storage kept for a reset. */
     std::vector<DirLine> lines_;
     StatGroup stats_;
+    // Handles into stats_, resolved once: per-event increments skip the
+    // name lookup.
+    Counter &get_s_ = stats_.counterHandle("get_s");
+    Counter &get_x_ = stats_.counterHandle("get_x");
+    Counter &nacks_relayed_ = stats_.counterHandle("nacks_relayed");
 };
 
 } // namespace wo

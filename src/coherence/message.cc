@@ -1,7 +1,5 @@
 #include "message.hh"
 
-#include <array>
-
 #include "common/logging.hh"
 
 namespace wo {
@@ -25,19 +23,6 @@ msgTypeName(MsgType t)
       case MsgType::nack: return "Nack";
     }
     return "?";
-}
-
-const char *
-msgStatName(MsgType t)
-{
-    static const auto names = [] {
-        std::array<std::string, static_cast<int>(MsgType::nack) + 1> n;
-        for (std::size_t i = 0; i < n.size(); ++i)
-            n[i] = std::string("msg.") +
-                   msgTypeName(static_cast<MsgType>(i));
-        return n;
-    }();
-    return names[static_cast<std::size_t>(t)].c_str();
 }
 
 std::string

@@ -39,11 +39,11 @@ enum class MsgType : std::uint8_t
     nack,         //!< owner -> requester: reserved line, retry later
 };
 
+/** Number of MsgType values (for iteration). */
+inline constexpr int num_msg_types = static_cast<int>(MsgType::nack) + 1;
+
 /** Printable message-type name. */
 const char *msgTypeName(MsgType t);
-
-/** The network's per-type statistic name: "msg." + msgTypeName(t). */
-const char *msgStatName(MsgType t);
 
 /** One protocol message. */
 struct Message

@@ -10,6 +10,9 @@ namespace wo {
 Network::Network(EventQueue &eq, const NetworkCfg &cfg)
     : eq_(eq), stats_("net")
 {
+    for (int t = 0; t < num_msg_types; ++t)
+        by_type_[t] = &stats_.counterHandle(
+            std::string("msg.") + msgTypeName(static_cast<MsgType>(t)));
     reset(cfg);
 }
 
@@ -54,8 +57,8 @@ Network::send(Message msg)
     wo_assert(msg.dst < handlers_.size() && handlers_[msg.dst],
               "message to unattached node %u: %s", msg.dst,
               msg.toString().c_str());
-    stats_.counter("messages").inc();
-    stats_.counter(msgStatName(msg.type)).inc();
+    messages_.inc();
+    by_type_[static_cast<int>(msg.type)]->inc();
     Tick delay = cfg_.hop_latency;
     if (cfg_.jitter > 0)
         delay += rng_.below(cfg_.jitter + 1);

@@ -11,6 +11,7 @@
 #ifndef WO_COHERENCE_NETWORK_HH
 #define WO_COHERENCE_NETWORK_HH
 
+#include <array>
 #include <vector>
 
 #include "coherence/message.hh"
@@ -64,11 +65,8 @@ class Network
     /** Messages currently on the wire (sent, not yet delivered). */
     std::uint64_t inFlight() const { return in_flight_; }
 
-    /** Messages sent so far. */
+    /** Messages sent so far, in total and per type ("msg.<type>"). */
     const StatGroup &stats() const { return stats_; }
-
-    /** Mutable statistics access. */
-    StatGroup &stats() { return stats_; }
 
   private:
     /** FIFO delivery within a pair despite jitter. */
@@ -83,6 +81,10 @@ class Network
     std::vector<std::vector<Tick>> last_delivery_;
     std::uint64_t in_flight_ = 0; //!< sent, not yet delivered
     StatGroup stats_;
+    // Handles into stats_, resolved once: per-message increments skip
+    // the name lookup.
+    Counter &messages_ = stats_.counterHandle("messages");
+    std::array<Counter *, num_msg_types> by_type_{};
 };
 
 } // namespace wo

@@ -16,6 +16,7 @@
 #ifndef WO_COMMON_LOGGING_HH
 #define WO_COMMON_LOGGING_HH
 
+#include <charconv>
 #include <cstdarg>
 #include <string>
 
@@ -36,6 +37,19 @@ std::string vstrprintf(const char *fmt, std::va_list ap);
 /** Render a printf-style format into a std::string. */
 std::string strprintf(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/**
+ * Append integer @p v in decimal, spelled as printf's %lld / %llu
+ * would, without a format parse or a temporary string.
+ */
+template <typename Int>
+void
+appendDecimal(std::string &out, Int v)
+{
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    out.append(buf, res.ptr);
+}
 
 /** Internal: print a diagnostic with a severity banner and location. */
 [[noreturn]] void panicImpl(const char *file, int line, const char *fmt, ...)

@@ -16,6 +16,7 @@ Histogram::sample(std::uint64_t v)
     min_ = std::min(min_, v);
     samples_.push_back(v);
     sorted_ = false;
+    shown_ = true;
 }
 
 double
@@ -84,15 +85,11 @@ StatGroup::resetAll()
 void
 StatGroup::clear()
 {
-    while (!counters_.empty()) {
-        auto node = counters_.extract(counters_.begin());
-        node.mapped().reset();
-        spare_counters_.push_back(std::move(node));
-    }
-    while (!hists_.empty()) {
-        auto node = hists_.extract(hists_.begin());
-        node.mapped().reset();
-        spare_hists_.push_back(std::move(node));
+    for (auto &kv : counters_)
+        kv.second = Counter{};
+    for (auto &kv : hists_) {
+        kv.second.reset(); // keeps the sample storage
+        kv.second.shown_ = false;
     }
 }
 
@@ -100,11 +97,11 @@ std::string
 StatGroup::dump() const
 {
     std::string out;
-    for (const auto &kv : counters_) {
+    for (const auto &kv : counters()) {
         out += strprintf("%s.%s %llu\n", name_.c_str(), kv.first.c_str(),
                          static_cast<unsigned long long>(kv.second.value()));
     }
-    for (const auto &kv : hists_) {
+    for (const auto &kv : histograms()) {
         const Histogram &h = kv.second;
         out += strprintf(
             "%s.%s count=%llu mean=%.2f min=%llu max=%llu p50=%llu p99=%llu\n",

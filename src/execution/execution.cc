@@ -112,21 +112,36 @@ Outcome::operator<(const Outcome &other) const
     return std::tie(regs, memory) < std::tie(other.regs, other.memory);
 }
 
+void
+Outcome::appendTo(std::string &out) const
+{
+    for (std::size_t p = 0; p < regs.size(); ++p) {
+        for (std::size_t r = 0; r < regs[p].size(); ++r) {
+            if (regs[p][r] == 0)
+                continue;
+            out += 'P';
+            appendDecimal(out, p);
+            out += ":r";
+            appendDecimal(out, r);
+            out += '=';
+            appendDecimal(out, regs[p][r]);
+            out += ' ';
+        }
+    }
+    out += "| mem:";
+    for (std::size_t a = 0; a < memory.size(); ++a) {
+        out += " [";
+        appendDecimal(out, a);
+        out += "]=";
+        appendDecimal(out, memory[a]);
+    }
+}
+
 std::string
 Outcome::toString() const
 {
     std::string out;
-    for (std::size_t p = 0; p < regs.size(); ++p) {
-        for (std::size_t r = 0; r < regs[p].size(); ++r) {
-            if (regs[p][r] != 0)
-                out += strprintf("P%zu:r%zu=%lld ", p, r,
-                                 static_cast<long long>(regs[p][r]));
-        }
-    }
-    out += "| mem:";
-    for (std::size_t a = 0; a < memory.size(); ++a)
-        out += strprintf(" [%zu]=%lld", a,
-                         static_cast<long long>(memory[a]));
+    appendTo(out);
     return out;
 }
 

@@ -109,8 +109,11 @@ struct Outcome
     /** Lexicographic order so outcome sets can live in std::set. */
     bool operator<(const Outcome &other) const;
 
-    /** e.g. "P0:r0=1 P1:r0=0 | mem: x=1 y=1" (zero registers elided). */
+    /** e.g. "P0:r1=1 P1:r0=2 | mem: [0]=1 [1]=1" (zero registers elided). */
     std::string toString() const;
+
+    /** Append toString()'s text to @p out (no temporaries). */
+    void appendTo(std::string &out) const;
 };
 
 } // namespace wo

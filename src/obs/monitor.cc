@@ -207,7 +207,9 @@ void Monitor::opRetired(ProcId p, Addr addr, AccessKind kind,
                 value_read == exec_.initialValue(addr) ||
                 std::binary_search(l.written_values.begin(),
                                    l.written_values.end(), value_read);
-            if (!known_value || recording())
+            // A deferred suspicion keeps its text: whether it gets
+            // recorded is known only once finalize() confirms it.
+            if (known_value ? recording() : cfg_.witness_text)
                 v.detail = strprintf(
                     "%s returned %lld, hb-last write %s expected %lld",
                     op.toString().c_str(),
@@ -354,9 +356,10 @@ void Monitor::finalize(Tick now, bool completed,
             v.kind = ViolationKind::counter_undrained;
             v.tick = now;
             v.proc = p;
-            v.detail = strprintf(
-                "P%u counter reads %d after the run completed", p,
-                counter_[p]);
+            if (recording())
+                v.detail = strprintf(
+                    "P%u counter reads %d after the run completed", p,
+                    counter_[p]);
             raise(std::move(v));
         }
         if (reserve_bits_[p] > 0) {
@@ -364,9 +367,10 @@ void Monitor::finalize(Tick now, bool completed,
             v.kind = ViolationKind::reserve_leak;
             v.tick = now;
             v.proc = p;
-            v.detail = strprintf(
-                "P%u holds %u reserve bit(s) after the run completed", p,
-                reserve_bits_[p]);
+            if (recording())
+                v.detail = strprintf("P%u holds %u reserve bit(s) after "
+                                     "the run completed",
+                                     p, reserve_bits_[p]);
             raise(std::move(v));
         }
     }
@@ -374,9 +378,11 @@ void Monitor::finalize(Tick now, bool completed,
         MonitorViolation v;
         v.kind = ViolationKind::unperformed_op;
         v.tick = now;
-        v.detail = strprintf(
-            "%llu operation(s) never globally performed in a completed run",
-            static_cast<unsigned long long>(unperformed_ops));
+        if (recording())
+            v.detail = strprintf("%llu operation(s) never globally "
+                                 "performed in a completed run",
+                                 static_cast<unsigned long long>(
+                                     unperformed_ops));
         raise(std::move(v));
     }
 }

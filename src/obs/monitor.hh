@@ -106,6 +106,8 @@ struct MonitorViolation
     Value expected = 0;        //!< stale_read: value the read should return
     Value got = 0;             //!< stale_read: value it returned
     std::string detail;        //!< human-readable witness, built at raise
+                               //!< (empty when MonitorCfg::witness_text
+                               //!< is off)
 
     /** e.g. "[stale_read] tick 117: P1 R(x)=0 expected 1 from P0 W(x)=1". */
     std::string toString() const;
@@ -123,6 +125,15 @@ struct MonitorCfg
      * through the same breach every retry cycle.
      */
     std::size_t max_recorded = 64;
+
+    /**
+     * Render MonitorViolation::detail.  Off, violations keep their
+     * kind, tick, processor, location and witness ops, and every count
+     * stays the same, but no text is formatted: a System turns it off
+     * for runs whose report nobody reads (see SystemCfg::collect_stats
+     * and dump_on_fail).
+     */
+    bool witness_text = true;
 };
 
 /**
@@ -295,8 +306,11 @@ class Monitor
     LocState &loc(Addr a);
     void raise(MonitorViolation v);
 
-    /** Will the next raised violation be recorded (with its detail)? */
-    bool recording() const { return violations_.size() < cfg_.max_recorded; }
+    /** Will the next raised violation be recorded with its detail? */
+    bool recording() const
+    {
+        return cfg_.witness_text && violations_.size() < cfg_.max_recorded;
+    }
 
     ProcId nprocs_ = 0;
     Addr nlocs_ = 0;

@@ -43,6 +43,16 @@ opSideName(OpSide s)
     return "?";
 }
 
+Obs::StallStats::StallStats(std::size_t p)
+    : group(strprintf("cpu%zu.stall", p)), total(&group.counter("total"))
+{
+    for (int b = 0; b < num_stall_buckets; ++b)
+        bucket[b] =
+            &group.counter(stallBucketName(static_cast<StallBucket>(b)));
+    for (int d = 0; d < num_op_sides; ++d)
+        side[d] = &group.counter(opSideName(static_cast<OpSide>(d)));
+}
+
 Obs::Obs(ProcId nprocs)
 {
     reset(nprocs);
@@ -58,25 +68,14 @@ Obs::reset(ProcId nprocs)
     recorder_ = nullptr;
     sampler_ = nullptr;
     mirrored_violations_ = 0;
-    while (stall_groups_.size() < nprocs)
-        stall_groups_.emplace_back(
-            strprintf("cpu%zu.stall", stall_groups_.size()));
+    while (stall_.size() < nprocs)
+        stall_.emplace_back(stall_.size());
     if (live_.size() < nprocs) {
         live_.resize(nprocs);
         reserve_held_.resize(nprocs);
     }
     for (ProcId p = 0; p < nprocs; ++p) {
-        // Pre-create every bucket plus the summaries so each dump has
-        // the full schema and buckets provably sum to the total even
-        // when a bucket never fires.
-        StatGroup &g = stall_groups_[p];
-        g.clear();
-        for (int b = 0; b < num_stall_buckets; ++b)
-            g.counter(stallBucketName(static_cast<StallBucket>(b)));
-        g.counter("total");
-        g.counter("data");
-        g.counter("release");
-        g.counter("acquire");
+        stall_[p].group.resetAll(); // the fixed schema stays shown
         live_[p].clear();
         reserve_held_[p].clear();
     }
@@ -474,10 +473,10 @@ Obs::stall(ProcId p, std::uint64_t req, Addr addr, StallPhase phase,
     wo_assert(p < nprocs_, "stall for unknown cpu %u", p);
     const StallBucket bucket = classify(p, req, addr, phase);
     const Tick cycles = to - from;
-    StatGroup &g = stall_groups_[p];
-    g.counter(stallBucketName(bucket)).inc(cycles);
-    g.counter("total").inc(cycles);
-    g.counter(opSideName(side)).inc(cycles);
+    StallStats &st = stall_[p];
+    st.bucket[static_cast<int>(bucket)]->inc(cycles);
+    st.total->inc(cycles);
+    st.side[static_cast<int>(side)]->inc(cycles);
 
     if (recorder_) {
         FlightEvent e;
@@ -517,7 +516,7 @@ const StatGroup &
 Obs::stallStats(ProcId p) const
 {
     wo_assert(p < nprocs_, "no stall stats for cpu %u", p);
-    return stall_groups_[p];
+    return stall_[p].group;
 }
 
 std::vector<const StatGroup *>
@@ -526,7 +525,7 @@ Obs::stallGroups() const
     std::vector<const StatGroup *> out;
     out.reserve(nprocs_);
     for (ProcId p = 0; p < nprocs_; ++p)
-        out.push_back(&stall_groups_[p]);
+        out.push_back(&stall_[p].group);
     return out;
 }
 

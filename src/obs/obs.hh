@@ -37,6 +37,8 @@
 #ifndef WO_OBS_OBS_HH
 #define WO_OBS_OBS_HH
 
+#include <array>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,6 +96,9 @@ enum class OpSide : std::uint8_t
     release, //!< write-only synchronization (Unset/Set)
     acquire, //!< read or read-modify-write synchronization (Test/TAS)
 };
+
+/** Number of OpSide values. */
+inline constexpr int num_op_sides = 3;
 
 /** Stable printable side name. */
 const char *opSideName(OpSide s);
@@ -276,6 +281,25 @@ class Obs
     /** Mirror monitor violations raised since last call into the ring. */
     void mirrorViolations(Tick now);
 
+    /**
+     * One processor's stall group ("cpu<p>.stall") and handles to its
+     * fixed schema: every bucket plus the total and the per-side sums,
+     * all shown from construction so each dump has the full schema and
+     * the buckets provably sum to the total even when one never fires.
+     */
+    struct StallStats
+    {
+        explicit StallStats(std::size_t p);
+        // The handles point into this object's own group.
+        StallStats(const StallStats &) = delete;
+        StallStats &operator=(const StallStats &) = delete;
+
+        StatGroup group;
+        std::array<Counter *, num_stall_buckets> bucket;
+        Counter *total;
+        std::array<Counter *, num_op_sides> side;
+    };
+
     ProcId nprocs_;
     bool trace_enabled_ = false;
     bool trace_queue_events_ = false;
@@ -286,7 +310,7 @@ class Obs
 
     // Per-processor state, indexed by ProcId.  The vectors only ever
     // grow: entries past nprocs_ are storage kept for a later reset.
-    std::vector<StatGroup> stall_groups_;
+    std::deque<StallStats> stall_; //!< deque: handles survive growth
     std::vector<std::vector<LiveOp>> live_; //!< unordered
     /** Lines whose owner holds this processor's forwarded request. */
     std::vector<std::vector<Addr>> reserve_held_;

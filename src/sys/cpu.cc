@@ -203,7 +203,7 @@ Cpu::step()
         return;
       case Opcode::delay:
         ++pc_;
-        stats_.counter("work_cycles").inc(static_cast<std::uint64_t>(i.imm));
+        work_cycles_.inc(static_cast<std::uint64_t>(i.imm));
         wake(static_cast<Tick>(i.imm) + 1);
         return;
       case Opcode::halt:
@@ -220,7 +220,7 @@ Cpu::step()
         wait_started_ = eq_.now();
     }
     if (!canIssue(i)) {
-        stats_.counter("issue_stall_polls").inc();
+        issue_stall_polls_.inc();
         // Remember which gate failed so the stall profiler can bucket
         // the wait when it finally ends.
         issue_wait_mlp_ = cfg_.max_outstanding > 0 &&
@@ -228,8 +228,7 @@ Cpu::step()
         return; // onCommit/onGloballyPerformed will wake us
     }
     const Tick reached = wait_started_;
-    stats_.counter(i.isSync() ? "sync_issue_stall_cycles"
-                              : "data_issue_stall_cycles")
+    (i.isSync() ? sync_issue_stall_ : data_issue_stall_)
         .inc(eq_.now() - reached);
     if (Obs *obs = eq_.obs()) {
         obs->stall(id_, 0, i.addr,
@@ -262,7 +261,7 @@ Cpu::step()
     p.timing_idx = timings_.size();
     timings_.push_back(OpTiming{id_, pc_, p.kind, i.addr, reached,
                                 eq_.now(), 0, 0});
-    stats_.counter(i.isSync() ? "sync_ops" : "data_ops").inc();
+    (i.isSync() ? sync_ops_ : data_ops_).inc();
 
     const bool wait_perf = blocksUntilPerformed(i);
     const bool wait_commit = blocksUntilCommit(i) || wait_perf;
@@ -328,8 +327,7 @@ Cpu::onCommit(std::uint64_t id, Value read_value)
     // Unblock decisions read p before retire(), which may erase it.
     if (blocked_ && blocked_on_ == id && !p.wait_performed) {
         blocked_ = false;
-        stats_.counter(p.is_sync ? "sync_commit_stall_cycles"
-                                 : "read_stall_cycles")
+        (p.is_sync ? sync_commit_stall_ : read_stall_)
             .inc(eq_.now() - block_started_);
         if (Obs *obs = eq_.obs())
             obs->stall(id_, id, p.addr, StallPhase::commit_wait,
@@ -354,8 +352,7 @@ Cpu::onGloballyPerformed(std::uint64_t id)
     timings_[p.timing_idx].performed = eq_.now();
     if (blocked_ && blocked_on_ == id && p.wait_performed) {
         blocked_ = false;
-        stats_.counter(p.is_sync ? "sync_perform_stall_cycles"
-                                 : "perform_stall_cycles")
+        (p.is_sync ? sync_perform_stall_ : perform_stall_)
             .inc(eq_.now() - block_started_);
         if (Obs *obs = eq_.obs()) {
             // Split the blocked interval at the commit point: up to the

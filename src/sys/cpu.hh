@@ -189,6 +189,22 @@ class Cpu : public CacheClient
     int outstanding_ = 0;           //!< issued, not globally performed
     std::vector<OpTiming> timings_;
     StatGroup stats_;
+    // Handles into stats_, resolved once: per-event increments skip the
+    // name lookup.
+    Counter &work_cycles_ = stats_.counterHandle("work_cycles");
+    Counter &issue_stall_polls_ = stats_.counterHandle("issue_stall_polls");
+    Counter &data_issue_stall_ =
+        stats_.counterHandle("data_issue_stall_cycles");
+    Counter &sync_issue_stall_ =
+        stats_.counterHandle("sync_issue_stall_cycles");
+    Counter &data_ops_ = stats_.counterHandle("data_ops");
+    Counter &sync_ops_ = stats_.counterHandle("sync_ops");
+    Counter &read_stall_ = stats_.counterHandle("read_stall_cycles");
+    Counter &sync_commit_stall_ =
+        stats_.counterHandle("sync_commit_stall_cycles");
+    Counter &perform_stall_ = stats_.counterHandle("perform_stall_cycles");
+    Counter &sync_perform_stall_ =
+        stats_.counterHandle("sync_perform_stall_cycles");
 };
 
 } // namespace wo

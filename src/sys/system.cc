@@ -66,6 +66,10 @@ System::reset(const Program &prog, const SystemCfg &cfg)
         mc.flavor = cfg_.policy == OrderingPolicy::wo_drf0_ro
                         ? HbRelation::SyncFlavor::weak_sync_read
                         : HbRelation::SyncFlavor::drf0;
+        // Witness text is read only by the report (collect_stats) and
+        // the evidence bundle (dump_on_fail).
+        mc.witness_text =
+            cfg_.collect_stats || !cfg_.dump_on_fail.empty();
         if (monitor_store_)
             monitor_store_->reset(procs_, nlocs, prog.initialMemory(), mc);
         else

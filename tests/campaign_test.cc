@@ -962,9 +962,15 @@ TEST(CampaignTimeline, ProfileEmitsFoldedStacksAndOneTraceLanePerThread)
     cfg.max_events = 200'000;
     cfg.seed = 11;
     cfg.profile = true;
-    cfg.profile_hz = 500; // short fleet: sample densely
-    auto sum = runCampaign(cfg);
-    ASSERT_EQ(sum.ran, 60u);
+    // The pacer's first sample falls one period after the start, and
+    // 60 cells take about a millisecond: sample every 100 us, and run
+    // again (the same fresh campaign) until a run has drawn a sample.
+    cfg.profile_hz = 10'000;
+    CampaignSummary sum;
+    for (int run = 0; run < 100 && sum.profile_samples == 0; ++run) {
+        sum = runCampaign(cfg);
+        ASSERT_EQ(sum.ran, 60u);
+    }
 
     // The folded artifact exists, is non-empty, and every line is
     // `lane;frames... count`.

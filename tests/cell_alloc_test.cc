@@ -7,9 +7,10 @@
  * so once a cell has run, re-running it -- reset, warm-up, run --
  * allocates only the outcome vectors of the SystemResult it returns:
  * a fixed count per processor, independent of how many events the
- * cell executes.  Like event_alloc_test, this binary replaces the
- * global operator new with a counting version, which is why the audit
- * lives in its own executable.
+ * cell executes or of the violations its monitor raises.  Like
+ * event_alloc_test, this binary replaces the global operator new with
+ * a counting version, which is why the audit lives in its own
+ * executable.
  */
 
 #include <gtest/gtest.h>
@@ -126,8 +127,8 @@ TEST(CellAlloc, WarmedCellAllocatesOnlyTheOutcome)
     const OrderingPolicy policies[] = {
         OrderingPolicy::sc, OrderingPolicy::wo_def1,
         OrderingPolicy::wo_drf0, OrderingPolicy::wo_drf0_ro};
-    // Race-free programs: a recorded violation carries a rendered
-    // witness, which is evidence worth its allocation.
+    // Race-free programs; RacyCellAllocatesOnlyTheOutcome covers a
+    // run that raises violations.
     System machine(programs[0], cellCfg(OrderingPolicy::sc));
     for (const Program &prog : programs)
         for (OrderingPolicy pol : policies) {
@@ -138,6 +139,25 @@ TEST(CellAlloc, WarmedCellAllocatesOnlyTheOutcome)
                 << prog.name() << " under " << policyName(pol) << " ("
                 << r.events << " events)";
         }
+}
+
+TEST(CellAlloc, RacyCellAllocatesOnlyTheOutcome)
+{
+    // A cell reads the monitor's counts, not its witness text, so a
+    // raised drf0_race formats nothing: the racy program allocates as
+    // little as the race-free ones.
+    const Program prog = litmus::racyCounter(2, 2);
+    System machine(prog, cellCfg(OrderingPolicy::wo_drf0));
+    for (OrderingPolicy pol :
+         {OrderingPolicy::sc, OrderingPolicy::wo_def1,
+          OrderingPolicy::wo_drf0, OrderingPolicy::wo_drf0_ro}) {
+        const Rerun r = rerun(machine, prog, cellCfg(pol));
+        ASSERT_TRUE(r.result.completed) << policyName(pol);
+        ASSERT_GT(r.result.monitor_races, 0u) << policyName(pol);
+        ASSERT_GT(machine.monitor()->countOf(ViolationKind::drf0_race), 0u);
+        EXPECT_EQ(r.allocs, outcomeAllocs(prog))
+            << policyName(pol) << " (" << r.events << " events)";
+    }
 }
 
 TEST(CellAlloc, BoundDoesNotGrowWithTheEventCount)
