@@ -1,8 +1,6 @@
 #include "cell.hh"
 
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 
 #include "campaign/verify.hh"
 #include "common/logging.hh"
@@ -394,13 +392,7 @@ appendCellResultJson(std::string &out, const CellResult &r)
     str(",\"sig\":", r.outcome_sig);
     num(",\"tick\":", r.finish_tick);
     out += ",\"ms\":";
-    if (std::isfinite(r.wall_ms)) {
-        char buf[32];
-        const int n = std::snprintf(buf, sizeof buf, "%.17g", r.wall_ms);
-        out.append(buf, static_cast<std::size_t>(n));
-    } else {
-        out += "null";
-    }
+    jsonAppendDouble(out, r.wall_ms);
     num(",\"mat_us\":", r.mat_us);
     num(",\"run_us\":", r.run_us);
     if (r.shrink_us > 0)

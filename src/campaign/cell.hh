@@ -254,8 +254,9 @@ struct CellResult
 /**
  * The journal cell-line object for @p r (without the "type" member).
  * One schema, two producers: Journal::appendCell for in-process
- * campaigns and the fleet worker's RESULT messages, so a merged fleet
- * journal is line-compatible with a single-process one.
+ * campaigns and the fleet worker's results frames both write its text
+ * (appendCellResultJson), so a merged fleet journal is line-compatible
+ * with a single-process one.
  */
 Json cellResultToJson(const CellResult &r);
 

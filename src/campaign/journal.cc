@@ -135,6 +135,15 @@ SeenSet::overflowSize() const
 
 // ------------------------------------------------------------- Journal
 
+void
+appendJournalCellLine(std::string &out, const CellResult &r)
+{
+    // cellResultToJson(r) with "type" appended last.
+    appendCellResultJson(out, r);
+    out.pop_back();
+    out += ",\"type\":\"cell\"}\n";
+}
+
 Journal::~Journal()
 {
     close();
@@ -374,14 +383,14 @@ Journal::appendLine(const Json &j)
                               SpanKind::journal_push);
     std::string text = j.dump();
     text += '\n';
-    pushText(text);
+    pushText(std::move(text));
 }
 
 void
-Journal::pushText(std::string_view text)
+Journal::pushText(std::string text)
 {
     Line *n = new Line;
-    n->text.assign(text);
+    n->text = std::move(text);
     push(n);
 }
 
@@ -400,19 +409,13 @@ Journal::writeHeader(Json meta)
 }
 
 void
-Journal::appendJson(Json line)
+Journal::appendRaw(std::string line)
 {
-    if (line.isObject()) {
-        const Json *type = line.find("type");
-        if (type && type->isString() &&
-            type->stringValue() == "cell") {
-            if (const Json *k = line.find("key"))
-                if (k->isString() &&
-                    resume_done_.count(k->stringValue()) == 0)
-                    seen_.insert(fnv1a64(k->stringValue()));
-        }
-    }
-    appendLine(line);
+    if (!writer_.joinable())
+        return;
+    Timeline::Scope push_span(Timeline::current(),
+                              SpanKind::journal_push);
+    pushText(std::move(line));
 }
 
 bool
@@ -443,12 +446,9 @@ Journal::appendCell(const CellResult &r)
         return;
     Timeline::Scope push_span(Timeline::current(),
                               SpanKind::journal_push);
-    // The line is cellResultToJson(r) with "type" appended last.
     thread_local std::string line;
     line.clear();
-    appendCellResultJson(line, r);
-    line.pop_back();
-    line += ",\"type\":\"cell\"}\n";
+    appendJournalCellLine(line, r);
     pushText(line);
 }
 

@@ -66,6 +66,14 @@ struct JournalFailure
     std::uint64_t count = 0; //!< equivalent failures seen so far
 };
 
+/**
+ * Append @p r's journal cell line, '\n' included, to @p out:
+ * cellResultToJson(r) plus "type":"cell", byte for byte, formatted
+ * with no Json tree.  Journal::appendCell writes it; a fleet worker
+ * sends it, and the coordinator journals it verbatim.
+ */
+void appendJournalCellLine(std::string &out, const CellResult &r);
+
 /** Group-commit tuning (the `--sync-every` surface). */
 struct JournalCfg
 {
@@ -202,12 +210,13 @@ class Journal
     }
 
     /**
-     * Append an arbitrary journal line (the fleet merge path: the
-     * coordinator forwards cell records it received from workers,
-     * annotated with shard/idx).  A `"type":"cell"` line with a
-     * string "key" marks that key done exactly like appendCell().
+     * Append one preformatted journal line, its '\n' included (the
+     * fleet merge path: the coordinator journals the cell lines its
+     * workers formatted, annotated with idx/shard/worker).  The text
+     * is queued as is and marks no key done: only the in-process
+     * scheduler asks done().
      */
-    void appendJson(Json line);
+    void appendRaw(std::string line);
 
     /**
      * Was @p key journaled (this run or a resumed one)?  Lock-free:
@@ -226,8 +235,8 @@ class Journal
 
     /** Append one finished cell (marks its key done immediately;
      *  the line itself is durable at the next batch commit).  The line
-     *  is formatted straight into a per-thread buffer, with no Json
-     *  tree: cellResultToJson(r) plus "type":"cell", byte for byte. */
+     *  is appendJournalCellLine(r), formatted into a per-thread
+     *  buffer. */
     void appendCell(const CellResult &r);
 
     /**
@@ -261,7 +270,7 @@ class Journal
 
     void appendLine(const Json &j);
     /** Queue @p text (one whole line, newline included). */
-    void pushText(std::string_view text);
+    void pushText(std::string text);
     void push(Line *n);
     Line *takeAllFifo();
     void writerLoop();

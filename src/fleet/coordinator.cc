@@ -122,21 +122,27 @@ Coordinator::teardown(bool drain)
         ::close(listen_fd_);
         listen_fd_ = -1;
     }
+    std::vector<std::thread> readers;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        for (auto &[id, c] : conns_)
+        for (auto &[id, c] : conns_) {
             c->sock->shutdownNow();
+            readers.push_back(std::move(c->reader));
+        }
     }
     ev_cv_.notify_all();
     if (pump_.joinable())
         pump_.join();
+    // Readers take no fleet lock, and they are joined with none held:
+    // a reader the acceptor spawned just before the shutdown may not
+    // have run yet.
+    for (std::thread &t : readers)
+        if (t.joinable())
+            t.join();
     {
         std::lock_guard<std::mutex> lock(mu_);
-        for (auto &[id, c] : conns_) {
-            if (c->reader.joinable())
-                c->reader.join();
+        for (auto &[id, c] : conns_)
             c->sock->closeNow();
-        }
         // Commit every merged record; in-flight campaigns stay
         // resumable from exactly this journal state.
         for (auto &camp : camps_)
@@ -172,47 +178,114 @@ Coordinator::acceptLoop()
         conn->id = id;
         conn->sock = std::make_unique<LineConn>(fd);
         conn->last_seen = std::chrono::steady_clock::now();
+        LineConn *sock = conn->sock.get();
         Conn *raw = conn.get();
         conns_.emplace(id, std::move(conn));
-        raw->reader = std::thread([this, id] { readerLoop(id); });
+        raw->reader =
+            std::thread([this, id, sock] { readerLoop(id, sock); });
     }
 }
 
 void
-Coordinator::readerLoop(std::uint64_t conn_id)
+Coordinator::readerLoop(std::uint64_t conn_id, LineConn *sock)
 {
-    LineConn *sock;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        sock = conns_.at(conn_id)->sock.get();
-    }
+    const auto who = static_cast<unsigned long long>(conn_id);
     std::string line;
+    bool pending = false; // line holds the next message already
     for (;;) {
-        const LineConn::Read r = sock->readLine(line, 500);
-        if (r == LineConn::Read::closed)
-            break;
-        if (r == LineConn::Read::timeout) {
-            if (stopping_.load(std::memory_order_relaxed))
+        if (!pending) {
+            const LineConn::Read r = sock->readLine(line, 500);
+            if (r == LineConn::Read::closed)
                 break;
+            if (r == LineConn::Read::timeout) {
+                if (stopping_.load(std::memory_order_relaxed))
+                    break;
+                continue;
+            }
+        }
+        pending = false;
+        if (line.compare(0, cell_line_head.size(), cell_line_head) == 0) {
+            warn("fleet: conn %llu sent a cell line outside a results "
+                 "frame; dropping it",
+                 who);
             continue;
         }
         JsonParseResult p = jsonParse(line);
         if (!p.ok || !p.value.isObject()) {
             warn("fleet: conn %llu sent a malformed line (%s); dropping it",
-                 static_cast<unsigned long long>(conn_id),
-                 p.ok ? "not an object" : p.error.c_str());
+                 who, p.ok ? "not an object" : p.error.c_str());
             continue;
         }
         Event ev;
-        ev.kind = Event::Kind::message;
         ev.conn = conn_id;
-        ev.msg = std::move(p.value);
-        pushEvent(std::move(ev));
+        if (fleetMsgType(p.value) != "results") {
+            ev.kind = Event::Kind::message;
+            ev.msg = std::move(p.value);
+            pushEvent(std::move(ev));
+            continue;
+        }
+        ev.kind = Event::Kind::frame;
+        const FrameRead fr =
+            readFrame(conn_id, *sock, p.value, ev.frame, line);
+        if (fr == FrameRead::ok)
+            pushEvent(std::move(ev));
+        else if (fr == FrameRead::cut_short)
+            pending = true;
+        else if (fr == FrameRead::closed)
+            break;
     }
     Event ev;
     ev.kind = Event::Kind::closed;
     ev.conn = conn_id;
     pushEvent(std::move(ev));
+}
+
+Coordinator::FrameRead
+Coordinator::readFrame(std::uint64_t conn_id, LineConn &sock,
+                       const Json &header, Frame &frame, std::string &line)
+{
+    const auto who = static_cast<unsigned long long>(conn_id);
+    std::string why;
+    bool ok = decodeResultsHeader(header, frame, why);
+    // Consume all n lines even when the frame is already lost, so the
+    // line after them is read as the next message.
+    const long n = static_cast<long>(frame.cells.size());
+    for (long i = 0; i < n; ++i) {
+        LineConn::Read r;
+        while ((r = sock.readLine(line, 500)) == LineConn::Read::timeout)
+            if (stopping_.load(std::memory_order_relaxed))
+                return FrameRead::closed;
+        if (r == LineConn::Read::closed) {
+            warn("fleet: conn %llu closed after %ld of a results "
+                 "frame's %ld lines; dropping the frame",
+                 who, i, n);
+            return FrameRead::closed;
+        }
+        if (line.compare(0, cell_line_head.size(), cell_line_head) != 0) {
+            warn("fleet: conn %llu's results frame announced %ld lines "
+                 "but sent %ld; dropping the frame",
+                 who, n, i);
+            return FrameRead::cut_short;
+        }
+        if (ok && !isJournalCellLine(line)) {
+            ok = false;
+            why = strprintf("line %ld is not a journal cell line", i);
+        }
+        if (ok) {
+            std::string &keep =
+                frame.cells[static_cast<std::size_t>(i)].line;
+            // Room for the provenance the merge appends.
+            keep.reserve(line.size() + 96);
+            keep.assign(line);
+        }
+    }
+    if (!ok) {
+        warn("fleet: conn %llu sent a malformed results frame (%s); "
+             "dropping it",
+             who, why.c_str());
+        return FrameRead::dropped;
+    }
+    return FrameRead::ok;
 }
 
 void
@@ -230,65 +303,69 @@ Coordinator::pushEvent(Event ev)
 void
 Coordinator::pumpLoop()
 {
+    std::vector<Event> batch;
     for (;;) {
-        Event ev;
-        bool have = false;
         {
             std::unique_lock<std::mutex> lock(ev_mu_);
             ev_cv_.wait_for(lock, std::chrono::milliseconds(100), [&] {
                 return !events_.empty() ||
                        stopping_.load(std::memory_order_relaxed);
             });
-            if (!events_.empty()) {
-                ev = std::move(events_.front());
-                events_.pop_front();
-                have = true;
-            } else if (stopping_.load(std::memory_order_relaxed)) {
+            if (events_.empty() &&
+                stopping_.load(std::memory_order_relaxed))
                 return;
-            }
+            batch.swap(events_);
         }
         std::lock_guard<std::mutex> lock(mu_);
-        if (have) {
-            switch (ev.kind) {
-              case Event::Kind::message:
-                handleMessage(ev.conn, ev.msg);
-                break;
-              case Event::Kind::closed:
+        for (Event &ev : batch) {
+            if (ev.kind == Event::Kind::closed) {
                 dropConn(ev.conn, "connection closed");
-                break;
+                continue;
             }
+            Conn *c = liveConn(ev.conn);
+            if (!c)
+                continue;
+            if (ev.kind == Event::Kind::message)
+                handleMessage(*c, ev.msg);
+            else if (c->role == Role::worker)
+                handleFrame(*c, ev.frame);
+            else
+                reject(*c, "results from a non-worker", "not a worker");
         }
+        batch.clear();
         expireSilentWorkers();
         grantLeases();
         sendClientProgress();
     }
 }
 
-void
-Coordinator::handleMessage(std::uint64_t conn_id, Json &msg)
+Coordinator::Conn *
+Coordinator::liveConn(std::uint64_t conn_id)
 {
     auto it = conns_.find(conn_id);
     if (it == conns_.end() || it->second->dead)
-        return;
-    Conn &c = *it->second;
-    c.last_seen = std::chrono::steady_clock::now();
+        return nullptr;
+    it->second->last_seen = std::chrono::steady_clock::now();
+    return it->second.get();
+}
 
+void
+Coordinator::handleMessage(Conn &c, Json &msg)
+{
     const std::string type = fleetMsgType(msg);
     if (type == "hello") {
         handleHello(c, msg);
     } else if (c.role == Role::unknown) {
         reject(c, "expected hello, got '" + type + "'", "no hello");
     } else if (type == "heartbeat") {
-        // last_seen is already refreshed above.
+        // liveConn() refreshed last_seen already.
     } else if (type == "submit") {
         handleSubmit(c, msg);
-    } else if (type == "result") {
-        handleResult(c, msg);
     } else if (type == "lease_done") {
         handleLeaseDone(c, msg);
     } else {
         warn("fleet: conn %llu (%s) sent unknown message type '%s'",
-             static_cast<unsigned long long>(conn_id), c.name.c_str(),
+             static_cast<unsigned long long>(c.id), c.name.c_str(),
              type.c_str());
     }
 }
@@ -320,6 +397,8 @@ Coordinator::handleHello(Conn &c, const Json &msg)
     if (c.name.empty())
         c.name = strprintf("%s%llu", role.c_str(),
                            static_cast<unsigned long long>(c.id));
+    c.name_json.clear();
+    jsonEscape(c.name_json, c.name);
     c.jobs = std::max(1, static_cast<int>(fleetUint(msg, "jobs")));
 
     Json ok = fleetMsg("hello_ok");
@@ -353,64 +432,71 @@ Coordinator::handleSubmit(Conn &c, const Json &msg)
 }
 
 void
-Coordinator::handleResult(Conn &c, Json &msg)
+Coordinator::handleFrame(Conn &c, Frame &frame)
 {
-    Camp *camp = findCampaign(fleetUint(msg, "campaign"));
-    Json *cell = msg.find("cell");
-    if (!camp || !cell || !cell->isObject())
+    Camp *camp = findCampaign(frame.campaign);
+    if (!camp)
         return;
-    const std::uint64_t idx = fleetUint(msg, "idx");
-    if (camp->completed || idx >= camp->spec.cells || camp->done[idx]) {
-        // A reassigned lease's original holder reported late: the
-        // merge is idempotent, the duplicate only counts.
-        ++camp->duplicate_results;
-        return;
+    for (FrameCell &cell : frame.cells) {
+        if (cell.idx >= camp->spec.cells) {
+            warn("fleet: worker '%s' sent base index %llu, outside "
+                 "campaign %llu's %llu cells; dropping it",
+                 c.name.c_str(), static_cast<unsigned long long>(cell.idx),
+                 static_cast<unsigned long long>(camp->id),
+                 static_cast<unsigned long long>(camp->spec.cells));
+        } else if (camp->completed || camp->done[cell.idx]) {
+            // A reassigned lease's original holder reported late: the
+            // merge is idempotent, the duplicate only counts.
+            ++camp->duplicate_results;
+        } else {
+            mergeCell(*camp, c, cell);
+        }
     }
-    camp->done[idx] = 1;
-    ++c.cells_done;
+    maybeCompleteCampaign(*camp);
+}
 
-    // Tally straight off the parsed line: the verdict spelling, the
-    // wall time and the monitor findings the worker counted per kind.
-    std::uint64_t by_kind[num_violation_kinds] = {};
-    if (const Json *bk = msg.find("by_kind"); bk && bk->isObject())
-        addByKindJson(*bk, by_kind);
-    const Json *ms = cell->find("ms");
-    camp->sink->record(0, fleetString(*cell, "verdict"),
-                       ms && ms->isNumber() ? ms->numberValue() : 0,
-                       by_kind);
+void
+Coordinator::mergeCell(Camp &camp, Conn &c, FrameCell &cell)
+{
+    const std::uint64_t idx = cell.idx;
+    camp.done[idx] = 1;
+    ++c.cells_done;
+    camp.sink->record(0, cell.verdict, cell.ms, cell.by_kind);
 
     const std::size_t shard_i =
         static_cast<std::size_t>(idx / cfg_.shard_size);
-    Shard &shard = camp->shards[shard_i];
+    Shard &shard = camp.shards[shard_i];
     if (shard.remaining > 0)
         --shard.remaining;
 
-    const Json *f = msg.find("failure");
-    std::string key = f ? fleetString(*cell, "key") : "";
-    // Merge into the campaign journal, annotated with the fleet
-    // provenance a resumed coordinator needs.  The received line is
-    // moved in, not copied: this thread carries the whole fleet.
-    cell->set("type", Json("cell"));
-    cell->set("idx", Json(idx));
-    cell->set("shard", Json(static_cast<std::uint64_t>(shard_i)));
-    cell->set("worker", Json(c.name));
-    camp->sink->journal().appendJson(std::move(*cell));
+    // Journal the worker's line verbatim, with the fleet provenance a
+    // resumed coordinator needs appended inside its closing brace.
+    std::string &line = cell.line;
+    line.pop_back();
+    line += ",\"idx\":";
+    appendDecimal(line, idx);
+    line += ",\"shard\":";
+    appendDecimal(line, shard_i);
+    line += ",\"worker\":\"";
+    line += c.name_json;
+    line += "\"}\n";
+    camp.sink->journal().appendRaw(std::move(line));
 
-    if (f && f->isObject()) {
+    if (const Json &f = cell.failure; f.isObject()) {
         FailureRecord fr;
-        fr.kind = fleetString(*f, "kind");
-        fr.first_cell = std::move(key);
-        fr.instructions = static_cast<std::size_t>(fleetUint(*f, "insns"));
+        fr.kind = fleetString(f, "kind");
+        fr.first_cell = fleetString(f, "cell");
+        fr.instructions = static_cast<std::size_t>(fleetUint(f, "insns"));
         fr.orig_instructions =
-            static_cast<std::size_t>(fleetUint(*f, "orig_insns"));
-        const Json *rep = f->find("reproduced");
+            static_cast<std::size_t>(fleetUint(f, "orig_insns"));
+        const Json *rep = f.find("reproduced");
         fr.reproduced = rep && rep->isBool() && rep->boolValue();
-        const std::string stem = camp->sink->fileFailure(
-            std::move(fr), fleetString(*f, "wo_text"));
+        const std::string stem =
+            camp.sink->fileFailure(std::move(fr), fleetString(f, "wo_text"));
         if (!stem.empty() && cfg_.verbose)
             inform("fleet: campaign %llu failure %s.wo (from '%s')",
-                   static_cast<unsigned long long>(camp->id),
-                   stem.c_str(), c.name.c_str());
+                   static_cast<unsigned long long>(camp.id), stem.c_str(),
+                   c.name.c_str());
     }
 
     if (shard.remaining == 0) {
@@ -419,7 +505,6 @@ Coordinator::handleResult(Conn &c, Json &msg)
         else
             shard.state = Shard::State::done;
     }
-    maybeCompleteCampaign(*camp);
 }
 
 void
@@ -675,12 +760,10 @@ Coordinator::addCampaign(std::uint64_t id, FleetCampaignSpec spec,
     camp->dir = campaignDir(cfg_, id);
     camp->t0 = std::chrono::steady_clock::now();
     camp->sink = std::move(sink);
-    Journal &journal = camp->sink->journal();
-    journal.reserveKeys(camp->spec.cells);
     // A replayed journal's indices are done already; exactly the
     // complement is (re-)leased.
     camp->done.assign(camp->spec.cells, 0);
-    for (std::uint64_t idx : journal.resumeIndices())
+    for (std::uint64_t idx : camp->sink->journal().resumeIndices())
         if (idx < camp->spec.cells && !camp->done[idx]) {
             camp->done[idx] = 1;
             camp->sink->skip(0, /*resumed=*/true);
@@ -775,6 +858,8 @@ Coordinator::submitLocal(const FleetCampaignSpec &spec)
     std::lock_guard<std::mutex> lock(mu_);
     const std::uint64_t id = enqueueCampaign(spec, 0);
     maybeCompleteCampaign(*camps_.back());
+    // Lease now, not at the pump's next tick.
+    grantLeases();
     return id;
 }
 

@@ -13,9 +13,20 @@
  * more than `max_outstanding` leases, so a slow worker bounds its own
  * queue instead of hoarding the lattice.
  *
+ * Workers send their cells as results frames (proto.hh).  A
+ * connection's reader thread parses only a frame's header and vets its
+ * raw journal lines; the pump thread, which owns all fleet state,
+ * drains every queued event on each wake and merges each cell by
+ * lookup: the done check, the tally, the shard bookkeeping, then the
+ * worker's line journaled verbatim with `idx`, `shard` and `worker`
+ * appended.  A frame that is malformed, or cut short by a closing
+ * connection, is dropped whole; its cells are re-leased, never
+ * half-merged.  A submitted campaign's first leases go out before
+ * submitLocal() returns.
+ *
  * Fault tolerance is lease reassignment + an idempotent merge:
  *
- *  - every RESULT is applied at most once per base index (a stale
+ *  - every cell is applied at most once per base index (a stale
  *    result from a lease that was already reassigned and re-run is
  *    dropped), then appended to the campaign journal through the
  *    group-commit writer (journal.hh), annotated with its shard,
@@ -45,7 +56,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -169,6 +179,7 @@ class Coordinator
         // Worker state (meaningful once role == worker).
         Role role = Role::unknown;
         std::string name;
+        std::string name_json; //!< name, JSON-escaped for merged lines
         int jobs = 1;
         std::chrono::steady_clock::time_point last_seen;
         std::vector<std::uint64_t> leases; //!< outstanding lease ids
@@ -212,22 +223,41 @@ class Coordinator
 
     struct Event
     {
-        enum class Kind : std::uint8_t { message, closed };
-        Kind kind;
+        enum class Kind : std::uint8_t { message, frame, closed };
+        Kind kind = Kind::message;
         std::uint64_t conn = 0;
-        Json msg;
+        Json msg;    //!< Kind::message
+        Frame frame; //!< Kind::frame
+    };
+
+    /** How reading a results frame's lines ended. */
+    enum class FrameRead : std::uint8_t
+    {
+        ok,      //!< every line arrived and passed: merge the frame
+        dropped, //!< malformed: dropped with a warning
+        cut_short, //!< a non-cell line came early: dropped, and that
+                   //!< line is the next message
+        closed,  //!< the connection ended mid-frame: dropped
     };
 
     void acceptLoop();
-    void readerLoop(std::uint64_t conn_id);
+    /** One connection's reader; touches no fleet state (takes no mu_). */
+    void readerLoop(std::uint64_t conn_id, LineConn *sock);
+    FrameRead readFrame(std::uint64_t conn_id, LineConn &sock,
+                        const Json &header, Frame &frame,
+                        std::string &line);
     void pumpLoop();
     void pushEvent(Event ev);
 
     // All of the below run on the pump thread with mu_ held.
-    void handleMessage(std::uint64_t conn_id, Json &msg);
+    /** The live connection @p conn_id (its last_seen refreshed), or
+     *  null once it is gone. */
+    Conn *liveConn(std::uint64_t conn_id);
+    void handleMessage(Conn &c, Json &msg);
     void handleHello(Conn &c, const Json &msg);
     void handleSubmit(Conn &c, const Json &msg);
-    void handleResult(Conn &c, Json &msg);
+    void handleFrame(Conn &c, Frame &frame);
+    void mergeCell(Camp &camp, Conn &c, FrameCell &cell);
     void handleLeaseDone(Conn &c, const Json &msg);
     /** Send @p text as an error line, then drop the connection. */
     void reject(Conn &c, const std::string &text, const char *why);
@@ -268,7 +298,7 @@ class Coordinator
 
     std::mutex ev_mu_;
     std::condition_variable ev_cv_;
-    std::deque<Event> events_;
+    std::vector<Event> events_; //!< the pump takes them all per wake
     std::atomic<bool> stopping_{false};
 
     std::thread acceptor_;

@@ -13,6 +13,7 @@
 #include <type_traits>
 
 #include "campaign/cell.hh"
+#include "campaign/journal.hh"
 #include "common/logging.hh"
 #include "models/model_registry.hh"
 
@@ -161,6 +162,115 @@ fleetHello(LineConn &conn, Json hello, Json *reply, std::string *error)
     return true;
 }
 
+// --- results frames --------------------------------------------------
+
+void
+ResultsFrame::add(std::uint64_t idx, const CellResult &r,
+                  const ShrinkOutcome *shrunk)
+{
+    if (cells_++ > 0)
+        tuples_ += ',';
+    tuples_ += '[';
+    appendDecimal(tuples_, idx);
+    tuples_ += ",\"";
+    jsonEscape(tuples_, r.verdict());
+    tuples_ += "\",";
+    jsonAppendDouble(tuples_, r.wall_ms);
+    // byKindJson(r.by_kind), spelled without the tree.
+    tuples_ += ",{";
+    const char *sep = "";
+    for (int k = 0; k < num_violation_kinds; ++k) {
+        if (r.by_kind[k] == 0)
+            continue;
+        tuples_ += sep;
+        tuples_ += '"';
+        jsonEscape(tuples_, violationKindName(static_cast<ViolationKind>(k)));
+        tuples_ += "\":";
+        appendDecimal(tuples_, r.by_kind[k]);
+        sep = ",";
+    }
+    tuples_ += '}';
+    if (shrunk) {
+        Json failure = Json::object();
+        failure.set("cell", Json(r.key));
+        failure.set("kind", Json(r.primary_kind));
+        failure.set("wo_text", Json(shrunk->wo_text));
+        failure.set("insns",
+                    Json(static_cast<std::uint64_t>(shrunk->instructions)));
+        failure.set("orig_insns", Json(static_cast<std::uint64_t>(
+                                      shrunk->orig_instructions)));
+        failure.set("reproduced", Json(shrunk->reproduced));
+        tuples_ += ',';
+        tuples_ += failure.dump();
+    }
+    tuples_ += ']';
+    appendJournalCellLine(lines_, r);
+}
+
+std::string_view
+ResultsFrame::text(std::uint64_t campaign, std::uint64_t lease)
+{
+    text_.assign("{\"type\":\"results\",\"campaign\":");
+    appendDecimal(text_, campaign);
+    text_ += ",\"lease\":";
+    appendDecimal(text_, lease);
+    text_ += ",\"cells\":[";
+    text_ += tuples_;
+    text_ += "]}\n";
+    text_ += lines_;
+    return text_;
+}
+
+void
+ResultsFrame::clear()
+{
+    tuples_.clear();
+    lines_.clear();
+    cells_ = 0;
+}
+
+bool
+decodeResultsHeader(const Json &header, Frame &out, std::string &why)
+{
+    out.cells.clear();
+    const Json *cells = header.find("cells");
+    if (!cells || !cells->isArray()) {
+        why = "no cells array";
+        return false;
+    }
+    out.campaign = fleetUint(header, "campaign");
+    out.lease = fleetUint(header, "lease");
+    out.cells.resize(cells->items().size());
+    for (std::size_t i = 0; i < out.cells.size(); ++i) {
+        const std::vector<Json> &t = cells->items()[i].items();
+        if (t.size() < 4 || t.size() > 5 ||
+            t[0].kind() != Json::Kind::unsigned_number ||
+            !t[1].isString() || !(t[2].isNumber() || t[2].isNull()) ||
+            !t[3].isObject() || (t.size() == 5 && !t[4].isObject())) {
+            why = strprintf("malformed cell tuple %zu", i);
+            return false;
+        }
+        FrameCell &c = out.cells[i];
+        c.idx = t[0].uintValue();
+        c.verdict = t[1].stringValue();
+        c.ms = t[2].numberValue();
+        addByKindJson(t[3], c.by_kind);
+        if (t.size() == 5)
+            c.failure = t[4];
+    }
+    return true;
+}
+
+bool
+isJournalCellLine(std::string_view line)
+{
+    constexpr std::string_view tail = ",\"type\":\"cell\"}";
+    return line.size() >= cell_line_head.size() + tail.size() &&
+           line.substr(0, cell_line_head.size()) == cell_line_head &&
+           line.substr(line.size() - tail.size()) == tail &&
+           jsonValid(line);
+}
+
 // --- transport -------------------------------------------------------
 
 int
@@ -228,7 +338,8 @@ fleetConnect(const HostPort &hp, std::string *error)
         ::close(fd);
         return -1;
     }
-    // Leases and heartbeats are small lines; latency beats batching.
+    // Leases, heartbeats and results frames are each one write;
+    // latency beats batching.
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     return fd;
@@ -238,12 +349,16 @@ LineConn::Read
 LineConn::readLine(std::string &out, int timeout_ms)
 {
     for (;;) {
-        const std::size_t eol = buf_.find('\n');
+        const std::size_t eol = buf_.find('\n', rpos_);
         if (eol != std::string::npos) {
-            out.assign(buf_, 0, eol);
-            buf_.erase(0, eol + 1);
+            out.assign(buf_, rpos_, eol - rpos_);
+            rpos_ = eol + 1;
             return Read::line;
         }
+        // Only a partial line is left: drop the consumed prefix once,
+        // not per line.
+        buf_.erase(0, rpos_);
+        rpos_ = 0;
         if (fd_ < 0)
             return Read::closed;
         pollfd pfd = {fd_, POLLIN, 0};
@@ -268,6 +383,12 @@ LineConn::writeLine(const Json &msg)
 {
     std::string text = msg.dump();
     text += '\n';
+    return writeText(text);
+}
+
+bool
+LineConn::writeText(std::string_view text)
+{
     std::lock_guard<std::mutex> lock(write_mu_);
     if (fd_ < 0)
         return false;

@@ -21,15 +21,26 @@
  *   accepted   coord -> client {campaign}
  *   lease      coord -> worker {campaign, lease, shard, spec,
  *                               indices:[...]}
- *   result     worker -> coord {campaign, lease, idx, cell:{...},
- *                               by_kind?:{kind: findings},
- *                               failure?:{kind, wo_text, insns,
- *                                          orig_insns, reproduced}}
+ *   results    worker -> coord {campaign, lease, cells:[[idx, verdict,
+ *                               ms, by_kind:{kind: findings},
+ *                               failure?:{cell, kind, wo_text, insns,
+ *                                         orig_insns, reproduced}],
+ *                               ...]}, then one journal cell line per
+ *                               tuple (a results frame, below)
  *   lease_done worker -> coord {campaign, lease}
  *   heartbeat  worker -> coord {}
  *   progress   coord -> client {campaign, cells:{...}, ...}
  *   done       coord -> client {campaign, hardware_clean, summary}
  *   drain      coord -> worker {}; finish in-flight work and exit
+ *
+ * A *results frame* is the one message longer than a line: the
+ * `results` header, then for each of its tuples, in order, the cell's
+ * journal line exactly as the in-process journal writes it
+ * (appendJournalCellLine).  The coordinator parses only the header;
+ * it vets each raw line (a well-formed `{"key":...,"type":"cell"}`
+ * object) and journals its bytes with the fleet provenance appended.
+ * A worker sends a frame in one write, so no heartbeat or other job
+ * slot interleaves inside it.
  *
  * The campaign *spec* is the portable subset of CampaignCfg: the
  * deterministic base stream (fuzzer.hh) is a pure function of
@@ -45,16 +56,18 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/scheduler.hh"
+#include "campaign/shrink.hh"
 #include "obs/json.hh"
 #include "sys/policy.hh"
 
 namespace wo {
 
 /** Bump on any wire-visible change; hello carries it both ways. */
-constexpr std::uint64_t fleet_proto_version = 2;
+constexpr std::uint64_t fleet_proto_version = 3;
 
 /** A parsed `host:port` endpoint (the `--connect` surface). */
 struct HostPort
@@ -105,6 +118,72 @@ std::uint64_t fleetUint(const Json &msg, const char *key);
 /** Member @p key of @p msg as a string ("" when absent or not one). */
 std::string fleetString(const Json &msg, const char *key);
 
+// --- results frames --------------------------------------------------
+
+/**
+ * A worker's results frame under construction (see the file comment).
+ * add() formats each cell's tuple and journal line as it finishes;
+ * text() seals the frame for one LineConn::writeText.
+ */
+class ResultsFrame
+{
+  public:
+    /** Add base index @p idx's result @p r; @p shrunk is the failure
+     *  evidence when the executor shrank a hardware failure. */
+    void add(std::uint64_t idx, const CellResult &r,
+             const ShrinkOutcome *shrunk);
+
+    /** Cells added since the last clear(). */
+    std::size_t cells() const { return cells_; }
+
+    /** The whole frame (header, then the lines) of @p lease in
+     *  campaign @p campaign; valid until the next add() or clear(). */
+    std::string_view text(std::uint64_t campaign, std::uint64_t lease);
+
+    void clear();
+
+  private:
+    std::string tuples_; //!< the header's "cells" items, comma-joined
+    std::string lines_;  //!< the journal lines, '\n'-terminated
+    std::string text_;
+    std::size_t cells_ = 0;
+};
+
+/** One cell of a received results frame. */
+struct FrameCell
+{
+    std::uint64_t idx = 0;
+    std::string verdict;
+    double ms = 0;
+    std::uint64_t by_kind[num_violation_kinds] = {};
+    Json failure;     //!< the failure evidence object, or null
+    std::string line; //!< the worker's journal line, without '\n'
+};
+
+/** A received results frame. */
+struct Frame
+{
+    std::uint64_t campaign = 0;
+    std::uint64_t lease = 0;
+    std::vector<FrameCell> cells;
+};
+
+/**
+ * Decode a `results` header into @p out (cells without their lines).
+ * False with @p why set when the header is malformed; out.cells still
+ * holds one entry per tuple, so the caller knows how many lines to
+ * skip.
+ */
+bool decodeResultsHeader(const Json &header, Frame &out, std::string &why);
+
+/** How every journal cell line opens (its first member is "key"). */
+inline constexpr std::string_view cell_line_head = "{\"key\":";
+
+/** Is @p line a well-formed journal cell line as a worker sends it:
+ *  one JSON object opening with cell_line_head and closing with
+ *  "type":"cell"? */
+bool isJournalCellLine(std::string_view line);
+
 // --- transport -------------------------------------------------------
 
 /**
@@ -120,9 +199,9 @@ int fleetConnect(const HostPort &hp, std::string *error);
 
 /**
  * One line-framed connection.  Reads are buffered and poll-bounded;
- * writes are whole lines under an internal mutex, so any thread of a
- * peer may send (worker heartbeats race lease results by design).
- * Owns the fd; the destructor closes it.
+ * writes are whole lines (or whole frames) under an internal mutex, so
+ * any thread of a peer may send (worker heartbeats race results frames
+ * by design).  Owns the fd; the destructor closes it.
  */
 class LineConn
 {
@@ -146,6 +225,10 @@ class LineConn
     /** Send @p msg as one line.  False when the peer is gone. */
     bool writeLine(const Json &msg);
 
+    /** Send @p text, whole '\n'-terminated lines, in one write that no
+     *  other writer interleaves.  False when the peer is gone. */
+    bool writeText(std::string_view text);
+
     /**
      * Abruptly shut the socket down both ways (a blocked reader or
      * writer unblocks with `closed`).  Thread-safe; used to sever a
@@ -158,7 +241,8 @@ class LineConn
 
   private:
     int fd_;
-    std::string buf_;   //!< bytes received past the last full line
+    std::string buf_;      //!< bytes received, from rpos_ on unread
+    std::size_t rpos_ = 0; //!< start of the unread bytes in buf_
     std::mutex write_mu_;
 };
 

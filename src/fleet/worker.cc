@@ -8,13 +8,25 @@
 
 namespace wo {
 
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/** A job slot sends its buffered cells once it holds this many... */
+constexpr std::size_t frame_cells = 16;
+/** ...or once the oldest of them started this long ago, so slow cells
+ *  (verify, shrinking) still reach /progress one by one. */
+constexpr auto frame_age = std::chrono::milliseconds(50);
+
+} // namespace
+
 FleetWorker::FleetWorker(WorkerCfg cfg) : cfg_(std::move(cfg))
 {
     if (cfg_.jobs < 1)
         cfg_.jobs = 1;
-    executors_.reserve(static_cast<std::size_t>(cfg_.jobs));
+    slots_.reserve(static_cast<std::size_t>(cfg_.jobs));
     for (int i = 0; i < cfg_.jobs; ++i)
-        executors_.emplace_back(CampaignSpec{});
+        slots_.push_back({CellExecutor(CampaignSpec{}), {}});
 }
 
 FleetWorker::~FleetWorker()
@@ -143,50 +155,47 @@ FleetWorker::executeLease(const Json &msg)
             indices.push_back(i.uintValue());
 
     const Fuzzer fuzzer(spec);
-    for (CellExecutor &exec : executors_)
-        exec.configure(spec);
+    for (Slot &s : slots_)
+        s.exec.configure(spec);
 
     std::atomic<std::size_t> cursor{0};
     auto slot_fn = [&](int slot) {
-        CellExecutor &exec = executors_[static_cast<std::size_t>(slot)];
-        for (;;) {
-            if (stop_.load(std::memory_order_relaxed))
-                return;
+        Slot &s = slots_[static_cast<std::size_t>(slot)];
+        Clock::time_point first_start;
+        // Send the buffered cells as one frame; false when severed
+        // (the lease gets reassigned).
+        auto flush = [&] {
+            const std::size_t n = s.frame.cells();
+            if (n == 0)
+                return true;
+            const bool sent =
+                conn_->writeText(s.frame.text(campaign, lease));
+            s.frame.clear();
+            if (sent)
+                cells_run_.fetch_add(n, std::memory_order_relaxed);
+            return sent;
+        };
+        while (!stop_.load(std::memory_order_relaxed)) {
             const std::size_t at =
                 cursor.fetch_add(1, std::memory_order_relaxed);
             if (at >= indices.size())
-                return;
+                break;
             const std::uint64_t idx = indices[at];
             const Cell cell = fuzzer.baseCell(idx);
+            if (s.frame.cells() == 0)
+                first_start = Clock::now();
             // Shrinking happens here, where the evidence is: only the
             // minimized text travels, and the coordinator's dedup hash
             // is computed over exactly this text.
-            const ExecutedCell x = exec.execute(cell, cell.key());
-            const CellResult &r = x.run.result;
-
-            Json result = fleetMsg("result");
-            result.set("campaign", Json(campaign));
-            result.set("lease", Json(lease));
-            result.set("idx", Json(idx));
-            result.set("cell", cellResultToJson(r));
-            if (r.total > 0)
-                result.set("by_kind", byKindJson(r.by_kind));
-            if (x.shrunk) {
-                Json failure = Json::object();
-                failure.set("kind", Json(r.primary_kind));
-                failure.set("wo_text", Json(x.shrunk->wo_text));
-                failure.set("insns", Json(static_cast<std::uint64_t>(
-                                         x.shrunk->instructions)));
-                failure.set("orig_insns",
-                            Json(static_cast<std::uint64_t>(
-                                x.shrunk->orig_instructions)));
-                failure.set("reproduced", Json(x.shrunk->reproduced));
-                result.set("failure", std::move(failure));
-            }
-            if (!conn_->writeLine(result))
-                return; // severed mid-lease; the lease gets reassigned
-            cells_run_.fetch_add(1, std::memory_order_relaxed);
+            const ExecutedCell x = s.exec.execute(cell, cell.key());
+            s.frame.add(idx, x.run.result,
+                        x.shrunk ? &*x.shrunk : nullptr);
+            if ((s.frame.cells() >= frame_cells ||
+                 Clock::now() - first_start >= frame_age) &&
+                !flush())
+                return;
         }
+        flush();
     };
 
     if (cfg_.verbose)

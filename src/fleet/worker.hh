@@ -10,11 +10,14 @@
  * coordinator sharded -- no program bytes cross the wire.  Indices of
  * one lease run jobs-wide over an atomic cursor, every slot keeping a
  * persistent executor (materialization cache and machine) across
- * leases; each finished cell streams back as one RESULT line with its
- * monitor findings per kind, and a hardware verdict is shrunk locally
- * by the executor so the line carries the minimized `.wo` reproducer
- * as evidence.  A heartbeat thread keeps
- * the lease alive while long cells run.
+ * leases.  Each slot formats its finished cells straight into a
+ * results frame (proto.hh): the cell's journal line, plus a header
+ * tuple with its verdict, wall time and monitor findings per kind.  A
+ * frame goes out after 16 cells, at the end of the lease, or once its
+ * oldest cell started 50 ms ago.  A hardware verdict is shrunk locally
+ * by the executor, so its tuple carries the minimized `.wo` reproducer
+ * as evidence.  A heartbeat thread keeps the lease alive while long
+ * cells run.
  *
  * Lease execution is deliberately single-flight: the socket is the
  * lease queue (the coordinator's max_outstanding bound keeps it
@@ -94,9 +97,14 @@ class FleetWorker
     std::unique_ptr<LineConn> conn_;
     std::mutex conn_mu_; //!< guards conn_ creation vs kill()
 
-    /** Per-slot executors (cache and machine), persistent across
-     *  leases. */
-    std::vector<CellExecutor> executors_;
+    /** One job slot: its executor (cache and machine) and its results
+     *  frame, both persistent across leases. */
+    struct Slot
+    {
+        CellExecutor exec;
+        ResultsFrame frame;
+    };
+    std::vector<Slot> slots_;
 
     std::atomic<bool> stop_{false};
     std::atomic<std::uint64_t> cells_run_{0};

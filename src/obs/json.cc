@@ -94,6 +94,18 @@ Json::find(const std::string &key)
 }
 
 void
+jsonAppendDouble(std::string &out, double v)
+{
+    if (!std::isfinite(v)) {
+        out += "null";
+        return;
+    }
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
+    out.append(buf, static_cast<std::size_t>(n));
+}
+
+void
 jsonEscape(std::string &out, std::string_view text)
 {
     for (unsigned char c : text) {
@@ -152,12 +164,7 @@ Json::dumpTo(std::string &out, int indent, int depth) const
         out += strprintf("%lld", static_cast<long long>(i64_));
         return;
       case Kind::double_number:
-        if (std::isfinite(dbl_)) {
-            out += strprintf("%.17g", dbl_);
-        } else {
-            // JSON has no inf/nan; null is the conventional stand-in.
-            out += "null";
-        }
+        jsonAppendDouble(out, dbl_);
         return;
       case Kind::string:
         out += '"';
@@ -484,12 +491,164 @@ class Parser
     std::string error_;
 };
 
+/** jsonParse's grammar, recognized without building anything. */
+class Validator
+{
+  public:
+    explicit Validator(std::string_view text) : text_(text) {}
+
+    bool run()
+    {
+        if (!value())
+            return false;
+        skipWs();
+        return pos_ == text_.size();
+    }
+
+  private:
+    bool more() const { return pos_ < text_.size(); }
+    char peek() const { return text_[pos_]; }
+    bool eat(char c)
+    {
+        if (!more() || peek() != c)
+            return false;
+        ++pos_;
+        return true;
+    }
+
+    void skipWs()
+    {
+        while (more() && (peek() == ' ' || peek() == '\t' ||
+                          peek() == '\n' || peek() == '\r'))
+            ++pos_;
+    }
+
+    void digits()
+    {
+        while (more() && std::isdigit(static_cast<unsigned char>(peek())))
+            ++pos_;
+    }
+
+    bool string()
+    {
+        if (!eat('"'))
+            return false;
+        while (more()) {
+            const char c = text_[pos_++];
+            if (c == '"')
+                return true;
+            if (c != '\\')
+                continue;
+            if (!more())
+                return false;
+            const char e = text_[pos_++];
+            if (e == 'u') {
+                if (pos_ + 4 > text_.size())
+                    return false;
+                for (int i = 0; i < 4; ++i)
+                    if (!std::isxdigit(
+                            static_cast<unsigned char>(text_[pos_++])))
+                        return false;
+            } else if (std::string_view("\"\\/bfnrt").find(e) ==
+                       std::string_view::npos) {
+                return false;
+            }
+        }
+        return false;
+    }
+
+    bool number()
+    {
+        eat('-');
+        const std::size_t start = pos_;
+        digits();
+        if (pos_ == start)
+            return false;
+        if (eat('.'))
+            digits();
+        if (eat('e') || eat('E')) {
+            if (!eat('+'))
+                eat('-');
+            digits();
+        }
+        return true;
+    }
+
+    bool literal(std::string_view word)
+    {
+        if (text_.compare(pos_, word.size(), word) != 0)
+            return false;
+        pos_ += word.size();
+        return true;
+    }
+
+    /** Items of an array (@p object false) or members of an object,
+     *  after the opening bracket. */
+    bool items(bool object)
+    {
+        const char close = object ? '}' : ']';
+        skipWs();
+        if (eat(close))
+            return true;
+        for (;;) {
+            if (object) {
+                skipWs();
+                if (!string())
+                    return false;
+                skipWs();
+                if (!eat(':'))
+                    return false;
+            }
+            if (!value())
+                return false;
+            skipWs();
+            if (eat(close))
+                return true;
+            if (!eat(','))
+                return false;
+        }
+    }
+
+    bool value()
+    {
+        if (++depth_ > max_depth)
+            return false;
+        skipWs();
+        if (!more())
+            return false;
+        bool ok;
+        switch (peek()) {
+          case 'n': ok = literal("null"); break;
+          case 't': ok = literal("true"); break;
+          case 'f': ok = literal("false"); break;
+          case '"': ok = string(); break;
+          case '[': ++pos_; ok = items(false); break;
+          case '{': ++pos_; ok = items(true); break;
+          default: ok = number(); break;
+        }
+        --depth_;
+        return ok;
+    }
+
+    static constexpr int max_depth = 256;
+
+    std::string_view text_;
+    std::size_t pos_ = 0;
+    int depth_ = 0;
+};
+
 } // namespace
 
 JsonParseResult
 jsonParse(std::string_view text)
 {
     return Parser(text).run();
+}
+
+bool
+jsonValid(std::string_view text)
+{
+    return Validator(text).run();
 }
 
 } // namespace wo

@@ -126,6 +126,10 @@ class Json
 /** Append @p text to @p out with JSON string escaping (no quotes). */
 void jsonEscape(std::string &out, std::string_view text);
 
+/** Append @p v as dump() spells a double: "%.17g", or null when it is
+ *  not finite (JSON has no inf/nan). */
+void jsonAppendDouble(std::string &out, double v);
+
 /** Result of parsing a JSON document. */
 struct JsonParseResult
 {
@@ -142,6 +146,13 @@ struct JsonParseResult
  * journal) to avoid a copy per line.
  */
 JsonParseResult jsonParse(std::string_view text);
+
+/**
+ * True when jsonParse(@p text) would succeed, checked without building
+ * a tree: the fleet coordinator vets the journal lines its workers
+ * send before it merges their bytes.
+ */
+bool jsonValid(std::string_view text);
 
 } // namespace wo
 

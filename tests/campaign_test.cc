@@ -550,7 +550,7 @@ TEST(Journal, FleetIdxLinesBuildTheResumeIndexSet)
             line.set("type", Json("cell"));
             line.set("key", Json("k" + std::to_string(i)));
             line.set("idx", Json(i));
-            j.appendJson(std::move(line));
+            j.appendRaw(line.dump() + "\n");
         }
         // A single-process line (no idx) marks its key done but adds
         // no resume index.

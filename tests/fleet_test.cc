@@ -1,15 +1,19 @@
 /**
  * @file
- * Tests for the fleet subsystem: the wire protocol (framing, spec
- * round-trips, endpoint parsing), verdict parity between a two-worker
- * fleet and the single-process campaign on the same seeds, and the
- * fault paths -- a SIGKILLed worker's leases are reassigned with zero
- * lost cells, a silent worker times out, and a killed coordinator
- * resumes from its merged journal re-leasing only uncommitted cells.
+ * Tests for the fleet subsystem: the wire protocol (framing, results
+ * frames, spec round-trips, endpoint parsing), verdict parity between
+ * a two-worker fleet and the single-process campaign on the same
+ * seeds, byte identity of merged journal lines, and the fault paths --
+ * hostile frames are dropped whole, a SIGKILLed worker's leases are
+ * reassigned with zero lost cells, a silent worker times out, a
+ * coordinator stops cleanly while peers dial in, and a killed
+ * coordinator resumes from its merged journal re-leasing only
+ * uncommitted cells.
  */
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -18,6 +22,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -29,13 +34,19 @@
 
 #include "campaign/journal.hh"
 #include "campaign/scheduler.hh"
+#include "common/logging.hh"
 #include "fleet/client.hh"
 #include "fleet/coordinator.hh"
 #include "fleet/proto.hh"
 #include "fleet/worker.hh"
 #include "obs/httpd.hh"
 #include "obs/json.hh"
+#include "obs/monitor.hh"
 #include "obs/report.hh"
+
+#ifndef WO_GOLDEN_DIR
+#define WO_GOLDEN_DIR "tests/golden"
+#endif
 
 namespace wo {
 namespace {
@@ -138,6 +149,121 @@ struct WorkerThread
             thread.join();
     }
 };
+
+/** A hand-rolled worker connection, handshaken as @p name. */
+std::unique_ptr<LineConn>
+rawWorker(std::uint16_t port, const std::string &name)
+{
+    std::string err;
+    const int fd = fleetConnect({"127.0.0.1", port}, &err);
+    EXPECT_GE(fd, 0) << err;
+    auto conn = std::make_unique<LineConn>(fd);
+    Json hello = fleetMsg("hello");
+    hello.set("role", Json("worker"));
+    hello.set("name", Json(name));
+    hello.set("jobs", Json(std::uint64_t{1}));
+    EXPECT_TRUE(fleetHello(*conn, std::move(hello), nullptr, &err)) << err;
+    return conn;
+}
+
+/** The lines of @p path, without their '\n'. */
+std::vector<std::string>
+fileLines(const std::string &path)
+{
+    std::vector<std::string> out;
+    const std::string text = slurp(path);
+    std::size_t pos = 0;
+    for (std::size_t eol; (eol = text.find('\n', pos)) != std::string::npos;
+         pos = eol + 1)
+        out.push_back(text.substr(pos, eol - pos));
+    return out;
+}
+
+/** The "type":"cell" lines of the journal at @p path. */
+std::vector<std::string>
+journalCellLines(const std::string &path)
+{
+    std::vector<std::string> out;
+    for (std::string &line : fileLines(path))
+        if (fleetMsgType(jsonParse(line).value) == "cell")
+            out.push_back(std::move(line));
+    return out;
+}
+
+/**
+ * Cell results spelling every member of a journal cell line: each
+ * verdict class, verify counters, shrink time, escapes and UTF-8 in
+ * the key, and wall times that print as integers, fractions and
+ * exponents.
+ */
+std::vector<CellResult>
+goldenResults()
+{
+    const char *const keys[] = {
+        "litmus:mp|sc|n1|h4|j3", "file:programs/fig3.wo|drf0|n7|h10|j0",
+        "quote\"back\\slash", "tab\tnewline\nctl\x01", "utf8 \xc3\xa9"};
+    const double wall_ms[] = {0, 0.0123, 1.5, 2, 1234.5678, 1e-9, 3e21};
+    std::vector<CellResult> out;
+    for (int i = 0; i < 24; ++i) {
+        CellResult r;
+        r.key = std::string(keys[i % 5]) + "#" + std::to_string(i);
+        r.completed = true;
+        r.outcome_sig = strprintf(
+            "%016llx", static_cast<unsigned long long>(
+                           0x9e3779b97f4a7c15ull * (i + 1)));
+        r.finish_tick = 1000 + 37 * static_cast<Tick>(i);
+        r.wall_ms = wall_ms[i % 7];
+        r.mat_us = 3 * static_cast<std::uint64_t>(i);
+        r.run_us = 40 + static_cast<std::uint64_t>(i);
+        const auto find = [&](ViolationKind k, std::uint64_t n) {
+            r.by_kind[static_cast<int>(k)] += n;
+            r.total += n;
+        };
+        switch (i % 8) {
+          case 0: // clean
+            break;
+          case 1:
+            r.races = 2;
+            find(ViolationKind::drf0_race, 2);
+            break;
+          case 2:
+            r.hw = 1;
+            r.primary_kind = "stale_read";
+            find(ViolationKind::stale_read, 1);
+            find(ViolationKind::drf0_race, 3);
+            r.shrink_us = 777 + static_cast<std::uint64_t>(i);
+            break;
+          case 3:
+            r.completed = false;
+            r.deadlocked = true;
+            break;
+          case 4:
+            r.completed = false;
+            r.livelocked = true;
+            break;
+          case 5:
+            r.completed = false;
+            r.primary_kind = "materialize_error";
+            break;
+          case 6:
+            r.inconclusive = true;
+            r.dpor_states = 10;
+            r.bfs_states = 20;
+            r.dpor_probes = 5;
+            r.dpor_memo_hits = 1;
+            break;
+          case 7:
+            r.nonsc = true;
+            r.dpor_states = 3;
+            r.bfs_states = 3;
+            r.dpor_probes = 0;
+            r.dpor_memo_hits = 0;
+            break;
+        }
+        out.push_back(std::move(r));
+    }
+    return out;
+}
 
 // --- protocol --------------------------------------------------------
 
@@ -290,7 +416,321 @@ TEST(FleetProto, LineConnFramesAndSevers)
     ::close(lfd);
 }
 
+/**
+ * A results frame decodes to what the worker put in: per cell its
+ * index, verdict, wall time and findings per kind, the failure
+ * evidence of a shrunk cell, and the exact in-process journal line.
+ */
+TEST(FleetProto, ResultsFrameRoundTrips)
+{
+    const std::vector<CellResult> results = goldenResults();
+    ShrinkOutcome shrunk;
+    shrunk.reproduced = true;
+    shrunk.instructions = 2;
+    shrunk.orig_instructions = 9;
+    shrunk.wo_text = "program p\nthread 0\n  st x 1\n";
+    ResultsFrame frame;
+    for (std::size_t i = 0; i < results.size(); ++i)
+        frame.add(100 + i, results[i],
+                  results[i].hw > 0 ? &shrunk : nullptr);
+    ASSERT_EQ(frame.cells(), results.size());
+
+    const std::string text(frame.text(7, 9));
+    std::vector<std::string> lines;
+    std::size_t pos = 0;
+    for (std::size_t eol; (eol = text.find('\n', pos)) != std::string::npos;
+         pos = eol + 1)
+        lines.push_back(text.substr(pos, eol - pos));
+    ASSERT_EQ(pos, text.size()) << "the frame ends mid-line";
+    ASSERT_EQ(lines.size(), results.size() + 1);
+
+    const JsonParseResult header = jsonParse(lines[0]);
+    ASSERT_TRUE(header.ok) << header.error;
+    EXPECT_EQ(fleetMsgType(header.value), "results");
+    Frame in;
+    std::string why;
+    ASSERT_TRUE(decodeResultsHeader(header.value, in, why)) << why;
+    EXPECT_EQ(in.campaign, 7u);
+    EXPECT_EQ(in.lease, 9u);
+    ASSERT_EQ(in.cells.size(), results.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        const CellResult &r = results[i];
+        const FrameCell &c = in.cells[i];
+        EXPECT_EQ(c.idx, 100 + i);
+        EXPECT_EQ(c.verdict, r.verdict());
+        EXPECT_EQ(c.ms, r.wall_ms);
+        for (int k = 0; k < num_violation_kinds; ++k)
+            EXPECT_EQ(c.by_kind[k], r.by_kind[k]) << i << " kind " << k;
+        EXPECT_EQ(c.failure.isObject(), r.hw > 0);
+        if (r.hw > 0) {
+            EXPECT_EQ(fleetString(c.failure, "cell"), r.key);
+            EXPECT_EQ(fleetString(c.failure, "kind"), r.primary_kind);
+            EXPECT_EQ(fleetString(c.failure, "wo_text"), shrunk.wo_text);
+            EXPECT_EQ(fleetUint(c.failure, "insns"), 2u);
+            EXPECT_EQ(fleetUint(c.failure, "orig_insns"), 9u);
+        }
+        std::string want;
+        appendJournalCellLine(want, r);
+        want.pop_back();
+        EXPECT_EQ(lines[i + 1], want);
+        EXPECT_TRUE(isJournalCellLine(lines[i + 1])) << lines[i + 1];
+    }
+
+    // clear() starts the next frame empty.
+    frame.clear();
+    EXPECT_EQ(frame.cells(), 0u);
+    EXPECT_EQ(frame.text(1, 2),
+              "{\"type\":\"results\",\"campaign\":1,\"lease\":2,"
+              "\"cells\":[]}\n");
+}
+
+/**
+ * The coordinator vets a raw cell line without parsing it into a
+ * tree: jsonValid() accepts exactly what jsonParse() accepts, and a
+ * cell line must be one object opening with "key" and closing with
+ * "type":"cell".
+ */
+TEST(FleetProto, CellLineVetting)
+{
+    for (const char *doc :
+         {"{}", "[]", "null", "true", "false", "0", "-1.5e+3", "1.",
+          "\"a\\u00e9\\n\"", "{\"a\":[1,{\"b\":null}],\"c\":\"\"}",
+          " { \"a\" : 1 } ", "", "{", "}", "{\"a\"}", "{\"a\":}",
+          "{\"a\":1,}", "[1,]", "[1 2]", "{\"a\":1}x", "{\"a\":1}{}",
+          "\"unterminated", "\"bad \\q escape\"", "\"\\u12g4\"", "-",
+          "+1", "nul", "tru", "{a:1}", "[[[[]]]]", "{\"a\":\"\\\"\"}"}) {
+        EXPECT_EQ(jsonValid(doc), jsonParse(doc).ok) << doc;
+    }
+    std::string deep(300, '[');
+    deep += std::string(300, ']');
+    EXPECT_EQ(jsonValid(deep), jsonParse(deep).ok);
+
+    CellResult r;
+    r.key = "k\"}{";
+    std::string good;
+    appendJournalCellLine(good, r);
+    good.pop_back();
+    EXPECT_TRUE(isJournalCellLine(good)) << good;
+    for (const char *bad :
+         {"", "{\"key\":\"x\",\"type\":\"campaign\"}",
+          "{\"key\":\"x\"}garbage,\"type\":\"cell\"}",
+          "{\"key\":\"x\",,\"type\":\"cell\"}",
+          "{\"type\":\"cell\",\"key\":\"x\"}",
+          "{\"key\":\"x\",\"type\":\"cell\"", "[\"key\",\"type\",\"cell\"]",
+          "{\"key\":,\"type\":\"cell\"}"})
+        EXPECT_FALSE(isJournalCellLine(bad)) << bad;
+}
+
 // --- fleet end to end ------------------------------------------------
+
+/**
+ * A merged fleet cell line is the in-process journal line
+ * (Journal::appendCell) with `"idx":N,"shard":S,"worker":"W"` appended
+ * inside its closing brace, and byte for byte the line the per-cell
+ * `result` path of protocol v2 journaled for the same results
+ * (tests/golden/fleet_cell_lines.jsonl, captured from that code).
+ */
+TEST(Fleet, MergedCellLinesMatchGolden)
+{
+    const std::vector<CellResult> results = goldenResults();
+    const std::string worker = "gold\"en\\w";
+    const std::uint64_t shard_size = 8;
+    std::vector<std::string> golden;
+    for (std::string &line :
+         fileLines(std::string(WO_GOLDEN_DIR) + "/fleet_cell_lines.jsonl"))
+        if (!line.empty() && line[0] != '#')
+            golden.push_back(std::move(line));
+    ASSERT_EQ(golden.size(), results.size());
+
+    const std::string inproc_path = testing::TempDir() + "golden_inproc.jsonl";
+    {
+        Journal j(inproc_path);
+        ASSERT_TRUE(j.open(true));
+        for (const CellResult &r : results)
+            j.appendCell(r);
+    }
+    const std::vector<std::string> inproc = fileLines(inproc_path);
+    ASSERT_EQ(inproc.size(), results.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        std::string want = inproc[i];
+        want.pop_back();
+        want += strprintf(",\"idx\":%zu,\"shard\":%zu,\"worker\":"
+                          "\"gold\\\"en\\\\w\"}",
+                          i, i / shard_size);
+        EXPECT_EQ(want, golden[i]) << i;
+    }
+
+    CoordinatorCfg ccfg;
+    ccfg.out_dir = freshDir("fleet_golden");
+    ccfg.shard_size = shard_size;
+    ccfg.sync_every = 1;
+    Coordinator coord(ccfg);
+    ASSERT_TRUE(coord.start()) << coord.lastError();
+    const std::unique_ptr<LineConn> conn = rawWorker(coord.port(), worker);
+    FleetCampaignSpec spec;
+    spec.seed = 1;
+    spec.cells = results.size();
+    spec.shrink = false;
+    const std::uint64_t id = coord.submitLocal(spec);
+    ShrinkOutcome shrunk;
+    shrunk.reproduced = true;
+    shrunk.instructions = 2;
+    shrunk.orig_instructions = 9;
+    shrunk.wo_text = "program golden\nthread 0\n  st x 1\n";
+    ResultsFrame frame;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        frame.add(i, results[i], results[i].hw > 0 ? &shrunk : nullptr);
+        if (frame.cells() == 5 || i + 1 == results.size()) {
+            ASSERT_TRUE(conn->writeText(frame.text(id, 0)));
+            frame.clear();
+        }
+    }
+    Json summary;
+    ASSERT_TRUE(coord.waitCampaign(id, 30'000, &summary));
+    coord.stop();
+
+    EXPECT_EQ(journalCellLines(ccfg.out_dir + "/c1/campaign.journal.jsonl"),
+              golden);
+    // The tuples fed the tallies and the failure filing.
+    EXPECT_EQ(summary.find("ran")->uintValue(), results.size());
+    EXPECT_EQ(summary.find("hw")->uintValue(), 3u);
+    EXPECT_EQ(summary.find("race")->uintValue(), 3u);
+    EXPECT_EQ(summary.find("by_kind")->dump(),
+              R"({"drf0_race":15,"stale_read":3})");
+    const Json &failures = *summary.find("failures");
+    ASSERT_EQ(failures.items().size(), 1u);
+    EXPECT_EQ(fleetString(failures.items()[0], "first_cell"), results[2].key);
+    EXPECT_EQ(fleetUint(failures.items()[0], "count"), 3u);
+}
+
+/** The header of a results frame for campaign @p id announcing clean
+ *  cells @p idxs. */
+std::string
+resultsHeader(std::uint64_t id, const std::vector<std::uint64_t> &idxs)
+{
+    std::string h = strprintf("{\"type\":\"results\",\"campaign\":%llu,"
+                              "\"lease\":0,\"cells\":[",
+                              static_cast<unsigned long long>(id));
+    for (std::size_t i = 0; i < idxs.size(); ++i)
+        h += strprintf("%s[%llu,\"clean\",0,{}]", i ? "," : "",
+                       static_cast<unsigned long long>(idxs[i]));
+    return h + "]}";
+}
+
+/** A well-formed journal cell line for a stand-in cell at @p idx. */
+std::string
+hostileLine(std::uint64_t idx)
+{
+    CellResult r;
+    r.key = "hostile#" + std::to_string(idx);
+    r.completed = true;
+    std::string line;
+    appendJournalCellLine(line, r);
+    line.pop_back();
+    return line;
+}
+
+/** @p lines joined, each '\n'-terminated, as one write. */
+std::string
+joinLines(const std::vector<std::string> &lines)
+{
+    std::string out;
+    for (const std::string &l : lines)
+        out += l + "\n";
+    return out;
+}
+
+/**
+ * Fleet JSONL is outside input.  A frame whose header and lines
+ * disagree, that carries a line which is not a journal cell object,
+ * or that a closing connection cuts off is dropped whole; an index
+ * outside the lattice is dropped; a repeated index counts as a
+ * duplicate.  The journal gains no partial or foreign line, the
+ * dropped cells are re-leased, and the coordinator keeps serving.
+ */
+TEST(Fleet, HostileFramesAreDroppedWhole)
+{
+    const std::uint64_t cells = 24;
+    CoordinatorCfg ccfg;
+    ccfg.out_dir = freshDir("fleet_hostile");
+    ccfg.shard_size = 4;
+    ccfg.sync_every = 1;
+    Coordinator coord(ccfg);
+    ASSERT_TRUE(coord.start()) << coord.lastError();
+    std::unique_ptr<LineConn> bad = rawWorker(coord.port(), "hostile");
+    FleetCampaignSpec spec;
+    spec.seed = 4;
+    spec.cells = cells;
+    spec.shrink = false;
+    // The hostile worker holds the leases of shards 0 and 1 (indices
+    // 0-7) until it disconnects, so nobody else can run them first.
+    const std::uint64_t id = coord.submitLocal(spec);
+
+    const std::uint64_t outside = cells + 5;
+    const std::vector<std::string> script = {
+        // Announces three cells, sends two, then a heartbeat.
+        resultsHeader(id, {2, 3, 9}), hostileLine(2), hostileLine(3),
+        R"({"type":"heartbeat"})",
+        // Announces one cell, sends two: 4 merges, the extra line drops.
+        resultsHeader(id, {4}), hostileLine(4), hostileLine(5),
+        // Lines that are not journal cell objects.
+        resultsHeader(id, {6, 10}), hostileLine(6),
+        R"({"key":"x","type":"campaign"})",
+        resultsHeader(id, {11}), R"({"key":"x"}garbage,"type":"cell"})",
+        resultsHeader(id, {11}), R"({"key":"x",,"type":"cell"})",
+        // An index outside the lattice drops; 7 merges.
+        resultsHeader(id, {7, outside}), hostileLine(7), hostileLine(outside),
+        // Repeated indices: two duplicates.
+        resultsHeader(id, {0}), hostileLine(0),
+        resultsHeader(id, {0, 1, 1}), hostileLine(0), hostileLine(1),
+        hostileLine(1),
+        // Malformed headers.
+        strprintf(R"({"type":"results","campaign":%llu,"cells":[["bad"]]})",
+                  static_cast<unsigned long long>(id)),
+        hostileLine(12), R"({"type":"results"})", "[1,2]",
+        // Cut off by the connection closing.
+        resultsHeader(id, {8, 13, 14}), hostileLine(8)};
+    ASSERT_TRUE(bad->writeText(joinLines(script)));
+    bad->shutdownNow();
+
+    WorkerCfg wcfg;
+    wcfg.connect = {"127.0.0.1", coord.port()};
+    wcfg.name = "real";
+    wcfg.heartbeat_ms = 100;
+    WorkerThread real(wcfg);
+    Json summary;
+    ASSERT_TRUE(coord.waitCampaign(id, 60'000, &summary));
+    ASSERT_TRUE(coord.waitForWorkers(1, 10'000)) << "the fleet stopped serving";
+    coord.stop();
+
+    EXPECT_EQ(summary.find("ran")->uintValue(), cells);
+    EXPECT_EQ(summary.find("duplicate_results")->uintValue(), 2u);
+    EXPECT_GE(summary.find("reassigned_leases")->uintValue(), 1u);
+    std::set<std::uint64_t> merged, hostile;
+    for (const std::string &line :
+         fileLines(ccfg.out_dir + "/c1/campaign.journal.jsonl")) {
+        const JsonParseResult p = jsonParse(line);
+        ASSERT_TRUE(p.ok && p.value.isObject()) << line;
+        const std::string type = fleetMsgType(p.value);
+        if (type == "campaign")
+            continue;
+        ASSERT_EQ(type, "cell") << line;
+        const std::uint64_t idx = fleetUint(p.value, "idx");
+        EXPECT_TRUE(merged.insert(idx).second) << "merged twice: " << line;
+        EXPECT_EQ(fleetUint(p.value, "shard"), idx / ccfg.shard_size);
+        const std::string key = fleetString(p.value, "key");
+        if (key.rfind("hostile#", 0) == 0) {
+            EXPECT_EQ(key, "hostile#" + std::to_string(idx));
+            EXPECT_EQ(fleetString(p.value, "worker"), "hostile");
+            hostile.insert(idx);
+        } else {
+            EXPECT_EQ(fleetString(p.value, "worker"), "real") << line;
+        }
+    }
+    EXPECT_EQ(merged.size(), cells);
+    EXPECT_EQ(*merged.rbegin(), cells - 1);
+    EXPECT_EQ(hostile, (std::set<std::uint64_t>{0, 1, 4, 7}));
+}
 
 /**
  * The acceptance bar: a two-worker fleet on a fixed seed produces the
@@ -614,6 +1054,60 @@ TEST(Fleet, CoordinatorStartStopCycles)
     }
     churning = false;
     churn.join();
+}
+
+/**
+ * Stop (or kill) coordinators while dialers are still connecting, over
+ * many cycles.  A reader the acceptor spawned just before the shutdown
+ * may not have run yet; readers take no fleet lock and teardown joins
+ * them with none held, so the join cannot wait on a reader that waits
+ * on teardown.  Dialers introduce themselves as clients, so a stray
+ * connection to another coordinator reusing the port is harmless.
+ */
+TEST(Fleet, StopWhileDialersConnect)
+{
+    for (int cycle = 0; cycle < 40; ++cycle) {
+        CoordinatorCfg ccfg;
+        ccfg.out_dir = freshDir("fleet_dialers");
+        Coordinator coord(ccfg);
+        ASSERT_TRUE(coord.start()) << coord.lastError();
+        const std::uint16_t port = coord.port();
+        std::atomic<bool> dialing{true};
+        std::vector<std::thread> dialers;
+        for (int d = 0; d < 3; ++d)
+            dialers.emplace_back([&dialing, port] {
+                sockaddr_in addr{};
+                addr.sin_family = AF_INET;
+                addr.sin_port = htons(port);
+                addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+                // Bound connect(): once the acceptor is gone a full
+                // backlog would park it in SYN retries for a second.
+                const timeval bound{0, 20'000};
+                while (dialing.load(std::memory_order_relaxed)) {
+                    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+                    ASSERT_GE(fd, 0);
+                    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &bound,
+                                 sizeof bound);
+                    LineConn conn(fd);
+                    if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                                  sizeof addr) != 0)
+                        continue; // the listener is gone already
+                    Json hello = fleetMsg("hello");
+                    hello.set("proto", Json(fleet_proto_version));
+                    hello.set("role", Json("client"));
+                    conn.writeLine(hello);
+                }
+            });
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(250 * (cycle % 8)));
+        if (cycle % 2)
+            coord.kill();
+        else
+            coord.stop();
+        dialing = false;
+        for (std::thread &t : dialers)
+            t.join();
+    }
 }
 
 /**
